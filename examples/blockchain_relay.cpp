@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "pbs/common/rng.h"
-#include "pbs/core/reconciler.h"
+#include "pbs/core/wire_session.h"
 #include "pbs/hash/xxhash64.h"
 
 namespace {
@@ -69,18 +69,22 @@ int main() {
   std::printf("relaying %d fresh txs among %d peers (mempool ~%d txs)\n\n",
               kFreshTxsPerPeer * kPeers, kPeers, kSharedTxs);
 
-  // One gossip sweep: every (i, j) pair reconciles; the numerically lower
+  // One gossip sweep: every (i, j) pair runs a PBS session (ToW estimate
+  // phase included, over an in-process loopback); the numerically lower
   // peer plays Alice and pulls what it misses, then pushes its own extras.
   size_t pbs_bytes = 0, naive_bytes = 0, payload_bytes = 0;
-  pbs::PbsConfig config;
-  config.max_rounds = 5;
+  pbs::SessionConfig config;
+  config.scheme_name = "pbs";
+  config.options.pbs.max_rounds = 5;
   for (int i = 0; i < kPeers; ++i) {
     for (int j = i + 1; j < kPeers; ++j) {
       const auto ids_i = peers[i].ShortIds();
       const auto ids_j = peers[j].ShortIds();
-      auto result = pbs::PbsSession::Reconcile(
-          ids_i, ids_j, config, 0x9A5 + i * 16 + j);
-      if (!result.success) {
+      config.seed = 0x9A5 + i * 16 + j;
+      const pbs::SessionResult session =
+          pbs::RunLoopbackSession(config, ids_i, ids_j);
+      const pbs::ReconcileOutcome& result = session.outcome;
+      if (!session.ok || !result.success) {
         std::printf("pair (%d,%d): reconciliation failed!\n", i, j);
         continue;
       }

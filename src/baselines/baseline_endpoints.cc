@@ -1,14 +1,16 @@
-// Wire-session engines for the baseline schemes (docs/WIRE_FORMAT.md).
+// Protocol engines for the baseline schemes (docs/WIRE_FORMAT.md): the
+// only implementation of each, driven over the wire by the session layer
+// and in-process by SetReconciler::Reconcile. One-shot schemes
+// (PinSketch, D.Digest, Graphene) are a single exchange: the initiator
+// ships its sizing parameter, the responder ships its sketch/filter, the
+// initiator decodes. PinSketch/WP is the genuinely interactive one and
+// mirrors the PBS round structure (settled bits, three-way splits) at
+// PinSketch field widths.
 //
-// Each engine realizes the *same* algorithm as the corresponding in-memory
-// free function, split at the protocol's natural message boundary, using
-// the same primitives, seeds, and processing order — so a session recovers
-// a difference identical to the in-memory call (pinned by
-// tests/core/wire_session_test.cc). One-shot schemes (PinSketch, D.Digest,
-// Graphene) are a single exchange: the initiator ships its sizing
-// parameter, the responder ships its sketch/filter, the initiator decodes.
-// PinSketch/WP is the genuinely interactive one and mirrors the PBS round
-// structure (settled bits, three-way splits) at PinSketch field widths.
+// Timing: each initiator reports its own sketch/filter build as encode and
+// its recovery as decode; each responder reports its sketch/filter build
+// (plus, for PinSketch/WP, its merge and BCH decode) through timers(), so
+// Reconcile() counts both parties' work.
 
 #include <algorithm>
 #include <chrono>
@@ -45,7 +47,8 @@ std::string Summary(const char* format, int value) {
   return buf;
 }
 
-// D.Digest sizing shared by both sides (mirrors DDigestReconcile).
+// D.Digest sizing shared by both sides: 2 d-hat cells, 3 hashes when
+// d-hat > 200 and 4 otherwise (the configuration guideline of [15]).
 size_t DDigestCells(int d_est) { return static_cast<size_t>(2) * d_est; }
 int DDigestHashes(int d_est) { return d_est > 200 ? 3 : 4; }
 
@@ -56,6 +59,9 @@ int DDigestHashes(int d_est) { return d_est > 200 ? 3 : 4; }
 constexpr int kMaxWireDifference = 1 << 20;
 
 // ------------------------------------------------------------- pinsketch --
+// PinSketch [13] (Section 7): t BCH syndromes (odd power sums over
+// GF(2^log|U|)) of each whole set; t log|U| bits on the wire, O(t^2)
+// decode -- the computational bottleneck PBS removes.
 
 class PinSketchInitiator : public ReconcileInitiator {
  public:
@@ -118,21 +124,28 @@ class PinSketchResponder : public ReconcileResponder {
     BitReader r(request);
     const int t = static_cast<int>(r.ReadBits(32));
     if (r.overflowed() || t < 1 || t > kMaxWireDifference) return false;
+    const auto encode_start = Clock::now();
     const GF2m field(sig_bits_);
     PowerSumSketch sketch(field, t);
     for (uint64_t e : elements_) sketch.Toggle(e);
     BitWriter w;
     sketch.Serialize(&w);
     *reply = w.TakeBytes();
+    timers_.encode_seconds += Seconds(encode_start, Clock::now());
     return true;
   }
+
+  PbsTimers timers() const override { return timers_; }
 
  private:
   std::vector<uint64_t> elements_;
   int sig_bits_;
+  PbsTimers timers_;
 };
 
 // --------------------------------------------------------------- ddigest --
+// Difference Digest [15] (Sections 7, 8.1): one IBF exchange; each cell
+// carries three log|U|-bit fields, hence roughly 6 d log|U| bits.
 
 class DDigestInitiator : public ReconcileInitiator {
  public:
@@ -203,22 +216,29 @@ class DDigestResponder : public ReconcileResponder {
     if (r.overflowed() || d_est < 1 || d_est > kMaxWireDifference) {
       return false;
     }
+    const auto encode_start = Clock::now();
     InvertibleBloomFilter ibf(DDigestCells(d_est), DDigestHashes(d_est),
                               seed_, sig_bits_);
     for (uint64_t e : elements_) ibf.Insert(e);
     BitWriter w;
     ibf.Serialize(&w);
     *reply = w.TakeBytes();
+    timers_.encode_seconds += Seconds(encode_start, Clock::now());
     return true;
   }
+
+  PbsTimers timers() const override { return timers_; }
 
  private:
   std::vector<uint64_t> elements_;
   uint64_t seed_;
   int sig_bits_;
+  PbsTimers timers_;
 };
 
 // -------------------------------------------------------------- graphene --
+// Graphene [32] (Sections 7, 8.2); see baselines/graphene.h for the
+// protocol shape and the cost model that sizes it.
 
 class GrapheneInitiator : public ReconcileInitiator {
  public:
@@ -265,7 +285,7 @@ class GrapheneInitiator : public ReconcileInitiator {
     const size_t wire_accounted_bytes =
         (use_bf ? bf.byte_size() : 0) + bob_ibf.byte_size() + 8;
 
-    // Candidate set Z and IBF(Z), exactly as GrapheneReconcile.
+    // Candidate set Z (passes the BF) and IBF(Z).
     const auto encode_start = Clock::now();
     std::vector<uint64_t> z;
     z.reserve(elements_.size());
@@ -295,8 +315,8 @@ class GrapheneInitiator : public ReconcileInitiator {
     outcome_.difference.insert(outcome_.difference.end(),
                                decoded.positive.begin(),
                                decoded.positive.end());
-    // Same accounting as the in-memory path: BF + IBF + the 8-byte
-    // geometry surcharge the paper credits Graphene.
+    // BF + IBF + the 8-byte geometry surcharge the paper credits
+    // Graphene.
     outcome_.data_bytes = wire_accounted_bytes;
     outcome_.params_summary = Summary("d_est=%d", d_est_);
     done_ = true;
@@ -328,6 +348,7 @@ class GrapheneResponder : public ReconcileResponder {
     if (r.overflowed() || d_est < 1 || d_est > kMaxWireDifference) {
       return false;
     }
+    const auto encode_start = Clock::now();
     const GrapheneConfig config;
     const GraphenePlan plan =
         GrapheneChoosePlan(d_est, elements_.size(), sig_bits_, config);
@@ -353,19 +374,28 @@ class GrapheneResponder : public ReconcileResponder {
     w.AlignToByte();
     ibf.Serialize(&w);
     *reply = w.TakeBytes();
+    timers_.encode_seconds += Seconds(encode_start, Clock::now());
     return true;
   }
+
+  PbsTimers timers() const override { return timers_; }
 
  private:
   std::vector<uint64_t> elements_;
   uint64_t seed_;
   int sig_bits_;
+  PbsTimers timers_;
 };
 
 // ---------------------------------------------------------- pinsketch/wp --
 
-// True two-endpoint realization of PinSketchWpReconcile. Canonical unit
-// order evolves identically on both sides: settled units are dropped (the
+// PinSketch/WP (Section 8.3): PBS's hash partition into g = d/delta groups
+// applied to PinSketch. Per group pair the initiator ships a capacity-t
+// PinSketch over GF(2^log|U|); the responder decodes the merged sketch
+// and replies with the distinct elements plus a checksum; BCH failures
+// split the group three ways as in PBS. The (t - delta) log|U| safety
+// margin costs 3-4x PBS's (t - delta) log n. Canonical unit order evolves
+// identically on both sides: settled units are dropped (the
 // initiator announces settlement bits at the head of the next round's
 // request), decode-failed units are replaced in place by their three
 // children, survivors stay put — the Section 3.2/3.3 discipline at
@@ -399,11 +429,16 @@ class PinSketchWpInitiator : public ReconcileInitiator {
   }
 
   std::vector<uint8_t> NextRequest() override {
+    const auto encode_start = Clock::now();
     ++round_;
     BitWriter w;
+    // The (g, t) sizing header is derived from the d-hat both sides share,
+    // so data_bytes leaves it out (as PbsInitiator leaves out d_used).
+    size_t header_bytes = 0;
     if (round_ == 1) {
       w.WriteBits(g_, 32);
       w.WriteBits(static_cast<uint32_t>(t_), 32);
+      header_bytes = w.byte_size();
     } else {
       for (bool settled : settled_bits_) w.WriteBit(settled);
       w.AlignToByte();
@@ -415,18 +450,20 @@ class PinSketchWpInitiator : public ReconcileInitiator {
       sketch.Serialize(&w);
       sig_fields_ += static_cast<size_t>(t_);  // t syndromes per unit.
     }
-    request_bytes_ = w.byte_size();
+    request_bytes_ = w.byte_size() - header_bytes;
+    timers_.encode_seconds += Seconds(encode_start, Clock::now());
     return w.TakeBytes();
   }
 
   bool HandleReply(const std::vector<uint8_t>& reply) override {
+    const auto decode_start = Clock::now();
     BitReader r(reply);
     data_bytes_ += request_bytes_ + reply.size();
     std::vector<Unit> next_units;
     for (Unit& unit : units_) {
       const bool failed = r.ReadBit();
       if (failed) {
-        // Three-way split, children redistributed exactly as the monolith.
+        // Three-way split; the responder redistributes identically.
         const uint64_t salt = unit.core.SplitSalt(family_);
         std::vector<Unit> children(3);
         for (int c = 0; c < 3; ++c) {
@@ -460,8 +497,11 @@ class PinSketchWpInitiator : public ReconcileInitiator {
       }
     }
     if (r.overflowed()) return false;
-    units_ = std::move(next_units);
+    // Settled units' sets are freed at scope exit, after the timer stops.
+    const std::vector<Unit> retired =
+        std::exchange(units_, std::move(next_units));
     if (units_.empty() || round_ >= config_.max_rounds) done_ = true;
+    timers_.decode_seconds += Seconds(decode_start, Clock::now());
     return true;
   }
 
@@ -473,9 +513,11 @@ class PinSketchWpInitiator : public ReconcileInitiator {
     outcome.rounds = round_;
     outcome.difference.assign(diff_.begin(), diff_.end());
     outcome.data_bytes = data_bytes_;
+    outcome.encode_seconds = timers_.encode_seconds;
+    outcome.decode_seconds = timers_.decode_seconds;
     if (report_sig_bits_ > config_.sig_bits) {
-      // Appendix J.3: the monolith accounts every signature-width field
-      // (syndromes, recovered elements, checksums) at report_sig_bits.
+      // Appendix J.3: every signature-width field (syndromes, recovered
+      // elements, checksums) is accounted at report_sig_bits.
       outcome.data_bytes += sig_fields_ *
                             static_cast<size_t>(report_sig_bits_ -
                                                 config_.sig_bits) / 8;
@@ -524,6 +566,7 @@ class PinSketchWpInitiator : public ReconcileInitiator {
   size_t request_bytes_ = 0;
   size_t data_bytes_ = 0;
   size_t sig_fields_ = 0;
+  PbsTimers timers_;
   int round_ = 0;
   bool done_ = false;
 };
@@ -586,13 +629,17 @@ class PinSketchWpResponder : public ReconcileResponder {
     BitWriter w;
     std::vector<Unit> next_units;
     for (Unit& unit : units_) {
+      const auto encode_start = Clock::now();
       PowerSumSketch alice_sketch =
           PowerSumSketch::Deserialize(&r, field_, t_);
       if (r.overflowed()) return false;
       PowerSumSketch merged(field_, t_);
       for (uint64_t e : unit.elements) merged.Toggle(e);
       merged.Merge(alice_sketch);
+      const auto decode_start = Clock::now();
+      timers_.encode_seconds += Seconds(encode_start, decode_start);
       auto decoded = merged.Decode(/*verify=*/true, seed_ ^ unit.core.key);
+      timers_.decode_seconds += Seconds(decode_start, Clock::now());
       if (!decoded.has_value()) {
         w.WriteBit(true);  // Decode failed; both sides split.
         const uint64_t salt = unit.core.SplitSalt(family_);
@@ -621,6 +668,8 @@ class PinSketchWpResponder : public ReconcileResponder {
     return true;
   }
 
+  PbsTimers timers() const override { return timers_; }
+
  private:
   struct Unit {
     UnitCore core;
@@ -640,6 +689,7 @@ class PinSketchWpResponder : public ReconcileResponder {
   int count_bits_ = 1;
   bool first_ = true;
   std::vector<Unit> units_;
+  PbsTimers timers_;
 };
 
 }  // namespace

@@ -1,99 +1,23 @@
 #include "pbs/baselines/baseline_reconcilers.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <memory>
 
-#include "pbs/baselines/ddigest.h"
-#include "pbs/baselines/graphene.h"
-#include "pbs/baselines/pinsketch.h"
-#include "pbs/baselines/pinsketch_wp.h"
 #include "pbs/core/pbs_reconciler.h"
 
 namespace pbs {
 
-namespace {
-
-// Shared translation from a BaselineOutcome to the unified outcome.
-ReconcileOutcome FromBaseline(const BaselineOutcome& r,
-                              std::string params_summary) {
-  ReconcileOutcome outcome;
-  outcome.success = r.success;
-  outcome.rounds = r.rounds;
-  outcome.difference = r.difference;
-  outcome.data_bytes = r.data_bytes;
-  outcome.encode_seconds = r.encode_seconds;
-  outcome.decode_seconds = r.decode_seconds;
-  outcome.params_summary = std::move(params_summary);
-  return outcome;
-}
-
-int RoundEstimate(double d_hat) {
-  return std::max(0, static_cast<int>(std::llround(d_hat)));
-}
-
-std::string Summary(const char* format, int value) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), format, value);
-  return buf;
-}
-
-}  // namespace
-
 PinSketchReconciler::PinSketchReconciler(const SchemeOptions& options)
     : sig_bits_(options.sig_bits), gamma_(options.pbs.gamma) {}
-
-ReconcileOutcome PinSketchReconciler::Reconcile(
-    const std::vector<uint64_t>& a, const std::vector<uint64_t>& b,
-    double d_hat, uint64_t seed) const {
-  const int t = std::max(1, InflateEstimate(d_hat, gamma_));
-  return FromBaseline(PinSketchReconcile(a, b, t, sig_bits_, seed),
-                      Summary("t=%d", t));
-}
 
 DDigestReconciler::DDigestReconciler(const SchemeOptions& options)
     : sig_bits_(options.sig_bits) {}
 
-ReconcileOutcome DDigestReconciler::Reconcile(const std::vector<uint64_t>& a,
-                                              const std::vector<uint64_t>& b,
-                                              double d_hat,
-                                              uint64_t seed) const {
-  const int d_est = std::max(RoundEstimate(d_hat), 1);
-  return FromBaseline(DDigestReconcile(a, b, d_est, sig_bits_, seed),
-                      Summary("d_est=%d", d_est));
-}
-
 GrapheneReconciler::GrapheneReconciler(const SchemeOptions& options)
     : sig_bits_(options.sig_bits), gamma_(options.pbs.gamma) {}
-
-ReconcileOutcome GrapheneReconciler::Reconcile(const std::vector<uint64_t>& a,
-                                               const std::vector<uint64_t>& b,
-                                               double d_hat,
-                                               uint64_t seed) const {
-  const int d_est = std::max(InflateEstimate(d_hat, gamma_), 1);
-  return FromBaseline(GrapheneReconcile(a, b, d_est, sig_bits_, seed),
-                      Summary("d_est=%d", d_est));
-}
 
 PinSketchWpReconciler::PinSketchWpReconciler(const SchemeOptions& options)
     : config_(options.pbs), report_sig_bits_(options.report_sig_bits) {
   config_.sig_bits = options.sig_bits;
-}
-
-ReconcileOutcome PinSketchWpReconciler::Reconcile(
-    const std::vector<uint64_t>& a, const std::vector<uint64_t>& b,
-    double d_hat, uint64_t seed) const {
-  const int d_used = InflateEstimate(d_hat, config_.gamma);
-  // Same delta and t as PBS (Section 8.3): derive t from the PBS plan.
-  const PbsPlan plan = PlanFor(config_, d_used);
-  const BaselineOutcome r = PinSketchWpReconcile(
-      a, b, d_used, config_.delta, plan.params.t, config_.sig_bits,
-      config_.max_rounds, seed, report_sig_bits_);
-  char summary[64];
-  std::snprintf(summary, sizeof(summary), "g=%d t=%d delta=%d d_used=%d",
-                plan.params.g, plan.params.t, config_.delta, d_used);
-  return FromBaseline(r, summary);
 }
 
 void RegisterBuiltinSchemes(SchemeRegistry& registry) {

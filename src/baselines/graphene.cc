@@ -1,20 +1,11 @@
 #include "pbs/baselines/graphene.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-
-#include "pbs/ibf/bloom_filter.h"
-#include "pbs/ibf/invertible_bloom_filter.h"
 
 namespace pbs {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-double Seconds(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
 
 size_t CellsFor(double expected_items, const GrapheneConfig& config) {
   const double cells = config.cells_per_item * expected_items +
@@ -54,61 +45,6 @@ GraphenePlan GrapheneChoosePlan(int d_est, size_t set_b_size, int sig_bits,
   const double expected = best_eps < 1.0 ? best_eps * d_clamped : d_clamped;
   plan.cells = CellsFor(expected, config);
   return plan;
-}
-
-BaselineOutcome GrapheneReconcile(const std::vector<uint64_t>& a,
-                                  const std::vector<uint64_t>& b, int d_est,
-                                  int sig_bits, uint64_t seed,
-                                  const GrapheneConfig& config) {
-  BaselineOutcome out;
-  const GraphenePlan plan = GrapheneChoosePlan(d_est, b.size(), sig_bits,
-                                               config);
-  const double best_eps = plan.epsilon;
-  const bool use_bf = plan.use_bf();
-  const size_t cells = plan.cells;
-
-  // --- Bob encodes ---
-  const auto encode_start = Clock::now();
-  BloomFilter bf = use_bf
-                       ? BloomFilter::ForCapacity(b.size(), best_eps, seed)
-                       : BloomFilter(8, 1, seed);
-  if (use_bf) {
-    for (uint64_t e : b) bf.Insert(e);
-  }
-  InvertibleBloomFilter bob_ibf(cells, config.ibf_hashes, seed ^ 0x1BF,
-                                sig_bits);
-  for (uint64_t e : b) bob_ibf.Insert(e);
-  out.data_bytes = (use_bf ? bf.byte_size() : 0) + bob_ibf.byte_size() + 8;
-
-  // --- Alice: candidate set Z and local IBF(Z) ---
-  std::vector<uint64_t> z;
-  z.reserve(a.size());
-  std::vector<uint64_t> a_minus_z;
-  for (uint64_t e : a) {
-    if (!use_bf || bf.Contains(e)) {
-      z.push_back(e);
-    } else {
-      a_minus_z.push_back(e);
-    }
-  }
-  InvertibleBloomFilter z_ibf(cells, config.ibf_hashes, seed ^ 0x1BF,
-                              sig_bits);
-  for (uint64_t e : z) z_ibf.Insert(e);
-  const auto decode_start = Clock::now();
-  out.encode_seconds = Seconds(encode_start, decode_start);
-
-  // --- Decode IBF(B) - IBF(Z) ---
-  bob_ibf.Subtract(z_ibf);
-  auto decoded = bob_ibf.Decode();
-  out.decode_seconds = Seconds(decode_start, Clock::now());
-
-  out.success = decoded.complete;
-  out.difference = std::move(a_minus_z);              // A \ Z.
-  out.difference.insert(out.difference.end(), decoded.negative.begin(),
-                        decoded.negative.end());      // Z \ B.
-  out.difference.insert(out.difference.end(), decoded.positive.begin(),
-                        decoded.positive.end());      // B \ Z.
-  return out;
 }
 
 }  // namespace pbs

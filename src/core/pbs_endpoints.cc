@@ -20,7 +20,6 @@
 #include "pbs/core/group_state.h"
 #include "pbs/core/messages.h"
 #include "pbs/core/parity_bitmap.h"
-#include "pbs/estimator/tow.h"
 
 namespace pbs {
 
@@ -81,7 +80,6 @@ struct PbsAlice::Impl {
   std::unordered_set<uint64_t> diff;  // Accumulated D-hat (toggle semantics).
   int round = 0;
   PbsTimers timers;
-  uint64_t set_size_hint = 0;  // |A| sent in the estimate request.
 
   // Round-processing scratch, reused across rounds so steady-state
   // encoding/decoding allocates nothing: the named buffers keep their
@@ -182,24 +180,6 @@ PbsAlice::PbsAlice(std::vector<uint64_t> elements, const PbsConfig& config,
 }
 
 PbsAlice::~PbsAlice() = default;
-
-std::vector<uint8_t> PbsAlice::MakeEstimateRequest() {
-  Impl& a = *impl_;
-  a.set_size_hint = a.elements.size();
-  TowSketch sketch(a.config.ell,
-                   a.family.Salt(HashFamily::kEstimator));
-  sketch.AddAll(a.elements);
-  BitWriter w;
-  w.WriteVarint(a.set_size_hint);
-  sketch.Serialize(&w, a.set_size_hint);
-  return w.TakeBytes();
-}
-
-void PbsAlice::HandleEstimateReply(const std::vector<uint8_t>& reply) {
-  BitReader r(reply);
-  const int d_used = static_cast<int>(r.ReadBits(32));
-  SetDifferenceEstimate(d_used);
-}
 
 void PbsAlice::SetDifferenceEstimate(int d_used) {
   Impl& a = *impl_;
@@ -566,23 +546,6 @@ PbsBob::PbsBob(std::shared_ptr<const std::vector<uint64_t>> elements,
 }
 
 PbsBob::~PbsBob() = default;
-
-std::vector<uint8_t> PbsBob::HandleEstimateRequest(
-    const std::vector<uint8_t>& request) {
-  Impl& b = *impl_;
-  BitReader r(request);
-  const uint64_t alice_size = r.ReadVarint();
-  TowSketch alice_sketch = TowSketch::Deserialize(
-      &r, b.config.ell, b.family.Salt(HashFamily::kEstimator), alice_size);
-  TowSketch bob_sketch(b.config.ell, b.family.Salt(HashFamily::kEstimator));
-  bob_sketch.AddAll(b.elems());
-  const double d_hat = TowSketch::Estimate(alice_sketch, bob_sketch);
-  const int d_used = InflateEstimate(d_hat, b.config.gamma);
-  SetDifferenceEstimate(d_used);
-  BitWriter w;
-  w.WriteBits(static_cast<uint64_t>(d_used), 32);
-  return w.TakeBytes();
-}
 
 void PbsBob::SetDifferenceEstimate(int d_used) {
   Impl& b = *impl_;

@@ -5,7 +5,6 @@
 #include "pbs/common/bitio.h"
 #include "pbs/core/element_store.h"
 #include "pbs/core/pbs_endpoints.h"
-#include "pbs/core/reconciler.h"
 
 namespace pbs {
 
@@ -22,8 +21,8 @@ std::string PbsSummary(const PbsPlan& plan) {
   return summary;
 }
 
-// Initiator engine: drives PbsAlice exactly like PbsSession::Reconcile,
-// one wire exchange per protocol round, plus the optional strong digest.
+// Initiator engine: drives PbsAlice one exchange per protocol round, plus
+// the optional strong digest.
 // The first round request carries d_used so the responder can size its
 // plan identically; round payloads embed the endpoints' packed messages.
 class PbsInitiator : public ReconcileInitiator {
@@ -98,7 +97,9 @@ class PbsInitiator : public ReconcileInitiator {
     outcome.encode_seconds = alice_.timers().encode_seconds;
     outcome.decode_seconds = alice_.timers().decode_seconds;
     if (report_sig_bits_ > config_.sig_bits) {
-      // Appendix J.3 accounting, as in PbsReconciler::Reconcile.
+      // Appendix J.3 accounting: XOR sums and checksums scale with the
+      // signature width; sketches and bin positions do not. The XOR-sum
+      // count is the *recovered* difference (the fields actually sent).
       const double extra_per_sig =
           static_cast<double>(report_sig_bits_ - config_.sig_bits) / 8.0;
       const double sig_fields =
@@ -161,6 +162,8 @@ class PbsResponder : public ReconcileResponder {
     return true;
   }
 
+  PbsTimers timers() const override { return bob_.timers(); }
+
  private:
   PbsBob bob_;
   std::vector<uint8_t> body_scratch_;
@@ -172,38 +175,6 @@ class PbsResponder : public ReconcileResponder {
 PbsReconciler::PbsReconciler(const SchemeOptions& options)
     : config_(options.pbs), report_sig_bits_(options.report_sig_bits) {
   config_.sig_bits = options.sig_bits;
-}
-
-ReconcileOutcome PbsReconciler::Reconcile(const std::vector<uint64_t>& a,
-                                          const std::vector<uint64_t>& b,
-                                          double d_hat, uint64_t seed) const {
-  const int d_used = InflateEstimate(d_hat, config_.gamma);
-  const PbsResult r =
-      PbsSession::Reconcile(a, b, config_, seed, d_used, nullptr);
-
-  ReconcileOutcome outcome;
-  outcome.success = r.success;
-  outcome.rounds = r.rounds;
-  outcome.difference = r.difference;
-  outcome.data_bytes = r.data_bytes;
-  outcome.estimator_bytes = r.estimator_bytes;
-  outcome.encode_seconds = r.encode_seconds;
-  outcome.decode_seconds = r.decode_seconds;
-  if (report_sig_bits_ > config_.sig_bits) {
-    // Appendix J.3 accounting: XOR sums and checksums scale with the
-    // signature width; sketches and bin positions do not. The XOR-sum
-    // count is the *recovered* difference (the fields actually sent);
-    // the pre-refactor runner used the ground-truth size, which only
-    // differs on instances that failed or mis-recovered.
-    const double extra_per_sig =
-        static_cast<double>(report_sig_bits_ - config_.sig_bits) / 8.0;
-    const double sig_fields =
-        static_cast<double>(r.difference.size()) +   // XOR sums.
-        static_cast<double>(r.plan.params.g);        // Checksums.
-    outcome.data_bytes += static_cast<size_t>(extra_per_sig * sig_fields);
-  }
-  outcome.params_summary = PbsSummary(r.plan);
-  return outcome;
 }
 
 std::unique_ptr<ReconcileInitiator> PbsReconciler::CreateInitiator(

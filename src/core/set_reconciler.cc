@@ -4,6 +4,28 @@
 
 namespace pbs {
 
+ReconcileOutcome SetReconciler::Reconcile(const std::vector<uint64_t>& a,
+                                          const std::vector<uint64_t>& b,
+                                          double d_hat, uint64_t seed) const {
+  const std::unique_ptr<ReconcileInitiator> initiator =
+      CreateInitiator(a, d_hat, seed);
+  const std::unique_ptr<ReconcileResponder> responder =
+      CreateResponder(b, d_hat, seed);
+  std::vector<uint8_t> request, reply;  // Reused across the rounds.
+  while (!initiator->done()) {
+    initiator->NextRequestInto(&request);
+    if (!responder->HandleRequest(request, &reply) ||
+        !initiator->HandleReply(reply)) {
+      return {};  // Fail closed: success stays false.
+    }
+  }
+  ReconcileOutcome outcome = initiator->TakeOutcome();
+  const PbsTimers responder_time = responder->timers();
+  outcome.encode_seconds += responder_time.encode_seconds;
+  outcome.decode_seconds += responder_time.decode_seconds;
+  return outcome;
+}
+
 SchemeRegistry& SchemeRegistry::Instance() {
   static SchemeRegistry* registry = [] {
     auto* r = new SchemeRegistry();

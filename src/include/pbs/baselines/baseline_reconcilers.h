@@ -1,7 +1,6 @@
-// SetReconciler adapters for the Section-7/8 baseline schemes. Each wraps
-// the corresponding free-function protocol behind the polymorphic
-// interface, reproducing exactly the estimate-handling policy the
-// experiment runner applied before the refactor:
+// SetReconcilers for the Section-7/8 baseline schemes. Each scheme is its
+// initiator/responder engine pair (baselines/baseline_endpoints.cc), with
+// this estimate-handling policy:
 //
 //   PinSketch     t     = max(1, gamma-inflated d-hat)      (Section 8.1.1)
 //   D.Digest      d_est = max(1, round(d-hat))              (raw, [15])
@@ -26,12 +25,7 @@ class PinSketchReconciler : public SetReconciler {
   const char* name() const override { return "pinsketch"; }
   const char* display_name() const override { return "PinSketch"; }
 
-  ReconcileOutcome Reconcile(const std::vector<uint64_t>& a,
-                             const std::vector<uint64_t>& b, double d_hat,
-                             uint64_t seed) const override;
-
-  /// Wire-session engines (docs/WIRE_FORMAT.md); parity with Reconcile()
-  /// is pinned by tests/core/wire_session_test.cc.
+  /// Protocol engines (docs/WIRE_FORMAT.md).
   std::unique_ptr<ReconcileInitiator> CreateInitiator(
       std::vector<uint64_t> elements, double d_hat,
       uint64_t seed) const override;
@@ -51,12 +45,7 @@ class DDigestReconciler : public SetReconciler {
   const char* name() const override { return "ddigest"; }
   const char* display_name() const override { return "D.Digest"; }
 
-  ReconcileOutcome Reconcile(const std::vector<uint64_t>& a,
-                             const std::vector<uint64_t>& b, double d_hat,
-                             uint64_t seed) const override;
-
-  /// Wire-session engines (docs/WIRE_FORMAT.md); parity with Reconcile()
-  /// is pinned by tests/core/wire_session_test.cc.
+  /// Protocol engines (docs/WIRE_FORMAT.md).
   std::unique_ptr<ReconcileInitiator> CreateInitiator(
       std::vector<uint64_t> elements, double d_hat,
       uint64_t seed) const override;
@@ -75,12 +64,7 @@ class GrapheneReconciler : public SetReconciler {
   const char* name() const override { return "graphene"; }
   const char* display_name() const override { return "Graphene"; }
 
-  ReconcileOutcome Reconcile(const std::vector<uint64_t>& a,
-                             const std::vector<uint64_t>& b, double d_hat,
-                             uint64_t seed) const override;
-
-  /// Wire-session engines (docs/WIRE_FORMAT.md); parity with Reconcile()
-  /// is pinned by tests/core/wire_session_test.cc.
+  /// Protocol engines (docs/WIRE_FORMAT.md).
   std::unique_ptr<ReconcileInitiator> CreateInitiator(
       std::vector<uint64_t> elements, double d_hat,
       uint64_t seed) const override;
@@ -101,12 +85,7 @@ class PinSketchWpReconciler : public SetReconciler {
   const char* display_name() const override { return "PinSketch/WP"; }
   bool supports_rounds() const override { return true; }
 
-  ReconcileOutcome Reconcile(const std::vector<uint64_t>& a,
-                             const std::vector<uint64_t>& b, double d_hat,
-                             uint64_t seed) const override;
-
-  /// Wire-session engines (docs/WIRE_FORMAT.md); parity with Reconcile()
-  /// is pinned by tests/core/wire_session_test.cc.
+  /// Protocol engines (docs/WIRE_FORMAT.md).
   std::unique_ptr<ReconcileInitiator> CreateInitiator(
       std::vector<uint64_t> elements, double d_hat,
       uint64_t seed) const override;

@@ -1,4 +1,5 @@
-// Graphene baseline [32] (Sections 7, 8.2).
+// Graphene baseline [32] (Sections 7, 8.2): sizing model. The protocol
+// engines live in baselines/baseline_endpoints.cc.
 //
 // Protocol-I shape: Bob sends an (optional) Bloom filter of B plus an IBF
 // of B. Alice passes her elements through the BF to form a candidate set Z
@@ -13,10 +14,8 @@
 #ifndef PBS_BASELINES_GRAPHENE_H_
 #define PBS_BASELINES_GRAPHENE_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
-
-#include "pbs/baselines/pinsketch.h"  // BaselineOutcome.
 
 namespace pbs {
 
@@ -35,9 +34,7 @@ struct GrapheneConfig {
 };
 
 /// The cost model's resolved choice for one exchange: the BF false-positive
-/// rate (1.0 = BF dropped) and the IBF cell budget. Exposed so the wire
-/// responder (baselines/baseline_endpoints) plans identically to the
-/// in-memory GrapheneReconcile for the same (d_est, |B|).
+/// rate (1.0 = BF dropped) and the IBF cell budget the responder ships.
 struct GraphenePlan {
   double epsilon = 1.0;  ///< Chosen BF false-positive rate (1.0 = no BF).
   size_t cells = 0;      ///< IBF cells.
@@ -47,13 +44,6 @@ struct GraphenePlan {
 /// Runs the per-epsilon cost model of Section 8.2 over `config`'s grid.
 GraphenePlan GrapheneChoosePlan(int d_est, size_t set_b_size, int sig_bits,
                                 const GrapheneConfig& config = {});
-
-/// Reconciles a and b given an estimate `d_est` of |A \ B| (Graphene needs
-/// no separate estimator message; the paper credits it 336 bytes for this).
-BaselineOutcome GrapheneReconcile(const std::vector<uint64_t>& a,
-                                  const std::vector<uint64_t>& b, int d_est,
-                                  int sig_bits, uint64_t seed,
-                                  const GrapheneConfig& config = {});
 
 }  // namespace pbs
 

@@ -15,12 +15,21 @@
 #ifndef PBS_BASELINES_RECURSIVE_CPI_H_
 #define PBS_BASELINES_RECURSIVE_CPI_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "pbs/baselines/pinsketch.h"  // BaselineOutcome.
-
 namespace pbs {
+
+/// Outcome of one RecursiveCpiReconcile run.
+struct BaselineOutcome {
+  bool success = false;
+  std::vector<uint64_t> difference;
+  size_t data_bytes = 0;
+  double encode_seconds = 0.0;
+  double decode_seconds = 0.0;
+  int rounds = 1;
+};
 
 /// Reconciles a and b by recursive bisection with per-partition capacity
 /// `t_bar` (the paper's small constant; 5 matches PBS's delta).

@@ -1,18 +1,16 @@
 // The two PBS protocol endpoints.
 //
 // Alice initiates and ultimately learns A /\triangle B; Bob answers. The
-// endpoints exchange opaque byte buffers, so callers can run them over any
-// transport (the in-memory PbsSession in reconciler.h, or a real socket as
-// in examples/). Message flow per Sections 2-3:
+// endpoints exchange opaque byte buffers; core/pbs_reconciler wraps them
+// as the "pbs" scheme's initiator/responder engines, which both the wire
+// sessions and the in-process SetReconciler::Reconcile drive. Both sides
+// are sized by SetDifferenceEstimate (the session layer's ToW estimate
+// exchange, or a known d in the Sections 2-5 setting); then, per
+// Sections 2-3:
 //
 //   Alice                       Bob
-//   MakeEstimateRequest  ---->  HandleEstimateRequest
-//   HandleEstimateReply  <----        (ToW estimate, d_used = gamma*d-hat)
 //   MakeRoundRequest     ---->  HandleRoundRequest      \  repeated until
 //   HandleRoundReply     <----                          /  all units settle
-//
-// If d is known a priori (the Sections 2-5 setting), call
-// SetDifferenceEstimate on both endpoints and skip the estimate exchange.
 
 #ifndef PBS_CORE_PBS_ENDPOINTS_H_
 #define PBS_CORE_PBS_ENDPOINTS_H_
@@ -25,26 +23,13 @@
 #include "pbs/common/checksum.h"
 #include "pbs/core/group_state.h"
 #include "pbs/core/params.h"
+#include "pbs/core/set_reconciler.h"
 #include "pbs/gf/gf2m.h"
 #include "pbs/hash/hash_family.h"
 
 namespace pbs {
 
 struct PbsStoreLayout;
-
-/// Cumulative wall-time breakdown of one endpoint (seconds). Encode is
-/// everything that *produces* sketches and wire bytes: Alice's whole
-/// round request (her per-group bin + sketch pipeline -- parallel when
-/// PbsConfig::decode_threads > 1 -- plus serialization) and Bob's wire
-/// staging/serialization. Decode is Bob's per-group bin + sketch +
-/// BCH-decode pipeline, timed as one phase (it runs fused and, with
-/// decode_threads > 1, concurrently across groups, where per-unit CPU
-/// attribution would be meaningless). Both are wall-clock: with a pool,
-/// a phase's entry is its elapsed time, not the summed worker CPU.
-struct PbsTimers {
-  double encode_seconds = 0.0;  ///< Sketch production + (de)serialization.
-  double decode_seconds = 0.0;  ///< Bob's per-group decode pipeline.
-};
 
 /// The initiating endpoint; learns the set difference.
 class PbsAlice {
@@ -55,11 +40,7 @@ class PbsAlice {
            uint64_t seed);
   ~PbsAlice();
 
-  /// Estimation phase (optional; Section 6.2).
-  std::vector<uint8_t> MakeEstimateRequest();
-  void HandleEstimateReply(const std::vector<uint8_t>& reply);
-
-  /// Skips estimation: size the plan for `d_used` expected differences.
+  /// Sizes the plan for `d_used` expected differences.
   void SetDifferenceEstimate(int d_used);
 
   /// Builds the round-k request (advances the round counter).
@@ -93,6 +74,15 @@ class PbsAlice {
   std::vector<uint64_t> ElementsOnlyInA() const;
 
   const PbsPlan& plan() const;
+  /// Cumulative wall time of this endpoint. Encode is everything that
+  /// *produces* sketches and wire bytes: Alice's whole round request (her
+  /// per-group bin + sketch pipeline -- parallel when
+  /// PbsConfig::decode_threads > 1 -- plus serialization) and Bob's wire
+  /// staging/serialization. Decode is Bob's per-group bin + sketch +
+  /// BCH-decode pipeline, timed as one phase (it runs fused and, with
+  /// decode_threads > 1, concurrently across groups, where per-unit CPU
+  /// attribution would be meaningless). Both are wall-clock: with a pool,
+  /// a phase's entry is its elapsed time, not the summed worker CPU.
   const PbsTimers& timers() const;
 
  private:
@@ -122,8 +112,6 @@ class PbsBob {
          uint64_t seed);
   ~PbsBob();
 
-  std::vector<uint8_t> HandleEstimateRequest(
-      const std::vector<uint8_t>& request);
   void SetDifferenceEstimate(int d_used);
 
   std::vector<uint8_t> HandleRoundRequest(const std::vector<uint8_t>& request);

@@ -1,5 +1,5 @@
-// SetReconciler adapter for PBS itself: wraps the PbsAlice/PbsBob endpoint
-// pair (via PbsSession) behind the polymorphic interface, applying the
+// SetReconciler for PBS itself: wraps the PbsAlice/PbsBob endpoint pair
+// as the scheme's initiator/responder engines, applying the
 // gamma-conservative estimate inflation of Section 6.2 and the Appendix
 // J.3 wide-signature wire accounting.
 
@@ -18,13 +18,9 @@ class PbsReconciler : public SetReconciler {
   const char* display_name() const override { return "PBS"; }
   bool supports_rounds() const override { return true; }
 
-  ReconcileOutcome Reconcile(const std::vector<uint64_t>& a,
-                             const std::vector<uint64_t>& b, double d_hat,
-                             uint64_t seed) const override;
-
-  /// Wire-session engines wrapping PbsAlice / PbsBob (docs/WIRE_FORMAT.md,
-  /// "pbs payloads"). A loopback session recovers the identical difference
-  /// to Reconcile() for equal (d_hat, seed).
+  /// Engines wrapping PbsAlice / PbsBob (docs/WIRE_FORMAT.md, "pbs
+  /// payloads"). The responder reports PbsBob's timers, so Reconcile()
+  /// counts both endpoints' encode/decode time.
   std::unique_ptr<ReconcileInitiator> CreateInitiator(
       std::vector<uint64_t> elements, double d_hat,
       uint64_t seed) const override;

@@ -63,8 +63,8 @@ struct SessionConfig {
   /// estimator and the scheme never share hash functions).
   uint64_t estimate_seed = 0xE57;
   /// When >= 0, skip the estimate phase and hand this d to both engines
-  /// (the "d known" setting of Sections 2-5, and the parity tests' way of
-  /// matching an in-memory Reconcile call exactly). In a sharded session
+  /// (the "d known" setting of Sections 2-5, and the tests' way of
+  /// matching an in-process Reconcile call exactly). In a sharded session
   /// it is the per-shard d (a valid upper bound for every shard).
   double exact_d = -1.0;
   /// Keyspace sharding (sync/shard_planner.h). 0 or 1 runs the classic

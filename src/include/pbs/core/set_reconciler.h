@@ -28,8 +28,9 @@ namespace pbs {
 
 struct StoreSnapshot;
 
-/// Unified outcome of one reconciliation, merging what used to be
-/// core/PbsResult and baselines/BaselineOutcome.
+/// Unified outcome of one reconciliation, whichever scheme ran it and
+/// whether it ran in-process (SetReconciler::Reconcile) or over a wire
+/// session (core/wire_session.h).
 struct ReconcileOutcome {
   bool success = false;          ///< Protocol settled within its round cap.
   int rounds = 1;                ///< Message rounds actually executed.
@@ -38,17 +39,19 @@ struct ReconcileOutcome {
   size_t estimator_bytes = 0;    ///< Estimate exchange bytes, if the scheme
                                  ///< ran one itself (usually 0: the caller
                                  ///< owns estimation, see header comment).
-  double encode_seconds = 0.0;   ///< Sketch/filter construction time.
-  double decode_seconds = 0.0;   ///< Decode/peel/recovery time.
+  double encode_seconds = 0.0;   ///< Sketch/filter construction time
+                                 ///< (both parties' in Reconcile()).
+  double decode_seconds = 0.0;   ///< Decode/peel/recovery time (both
+                                 ///< parties' in Reconcile()).
   std::string params_summary;    ///< Human-readable parameterization, e.g.
                                  ///< "g=20 n=127 t=8" or "t=138".
   /// Framed bytes actually moved by the session layer (handshake, estimate
   /// exchange, frame headers, payloads — both directions). Zero for
-  /// in-memory Reconcile() calls, which transfer nothing; filled by
+  /// in-process Reconcile() calls, which frame nothing; filled by
   /// core/wire_session.h so callers can report *true* transfer sizes next
   /// to the abstract data_bytes accounting above.
   size_t wire_bytes = 0;
-  /// Frames exchanged by the session layer (both directions; 0 in-memory).
+  /// Frames exchanged by the session layer (both directions; 0 in-process).
   int wire_frames = 0;
 };
 
@@ -67,6 +70,13 @@ struct SchemeOptions {
   PbsConfig pbs;
 };
 
+/// Cumulative wall time one protocol engine spent producing sketches and
+/// wire bytes (encode) and decoding/recovering (decode), in seconds.
+struct PbsTimers {
+  double encode_seconds = 0.0;
+  double decode_seconds = 0.0;
+};
+
 /// One side's protocol engine for reconciling over a byte stream: the
 /// *initiator* (the paper's Alice) drives a strict ping-pong of opaque
 /// payloads and ultimately learns the difference. Payloads are scheme-
@@ -76,9 +86,10 @@ struct SchemeOptions {
 /// framing or sockets.
 ///
 /// Call sequence: while !done(): NextRequest() -> (peer) -> HandleReply().
-/// After done(), TakeOutcome() yields the same ReconcileOutcome the
-/// scheme's in-memory Reconcile() would have produced for the same inputs,
-/// estimate, and seed (the wire_session parity tests pin this).
+/// After done(), TakeOutcome() yields the reconciliation outcome. These
+/// engines are the scheme's only implementation: SetReconciler::Reconcile
+/// pumps the same pair in-process, so a wire session and an in-process
+/// call with equal inputs, estimate and seed recover identical results.
 class ReconcileInitiator {
  public:
   virtual ~ReconcileInitiator() = default;
@@ -119,14 +130,20 @@ class ReconcileResponder {
   /// malformed request (the session is then aborted with a wire error).
   virtual bool HandleRequest(const std::vector<uint8_t>& request,
                              std::vector<uint8_t>* reply) = 0;
+
+  /// This side's share of the encode/decode work so far. Reconcile() adds
+  /// it to the initiator's outcome, so in-process figures count both
+  /// parties' time; a wire session reports the initiator's side only.
+  virtual PbsTimers timers() const { return {}; }
 };
 
 /// Interface implemented by every reconciliation scheme.
 ///
-/// Implementations must be stateless after construction: Reconcile() is
-/// const and may be called concurrently from the runner's worker threads.
-/// CreateInitiator()/CreateResponder() mint fresh per-session state, so a
-/// single SetReconciler can serve many concurrent wire sessions.
+/// A scheme is its pair of engines: CreateInitiator()/CreateResponder()
+/// mint fresh per-session state, so a single SetReconciler can serve many
+/// concurrent wire sessions. Implementations must be stateless after
+/// construction; the in-process Reconcile() is const and may be called
+/// concurrently from the runner's worker threads.
 class SetReconciler {
  public:
   virtual ~SetReconciler() = default;
@@ -142,35 +159,30 @@ class SetReconciler {
   /// A scheme returning false ignores the d_hat argument entirely.
   virtual bool needs_estimate() const { return true; }
 
-  /// Reconciles `a` and `b` given the caller's estimate `d_hat` of
-  /// |A /\triangle B| (exact when the caller knows d, Sections 2-5; a ToW
-  /// estimate otherwise). Each scheme applies its own rounding/inflation
-  /// policy to d_hat. `seed` drives every random choice, so equal inputs
-  /// give bit-identical outcomes.
-  virtual ReconcileOutcome Reconcile(const std::vector<uint64_t>& a,
-                                     const std::vector<uint64_t>& b,
-                                     double d_hat, uint64_t seed) const = 0;
+  /// Reconciles `a` and `b` in-process given the caller's estimate `d_hat`
+  /// of |A /\triangle B| (exact when the caller knows d, Sections 2-5; a
+  /// ToW estimate otherwise). Each scheme applies its own rounding/
+  /// inflation policy to d_hat. `seed` drives every random choice, so equal
+  /// inputs give bit-identical outcomes. Mints the initiator over a copy of
+  /// `a` and the responder over a copy of `b` and pumps request -> reply ->
+  /// HandleReply on reused buffers until the initiator is done -- no
+  /// framing, no session engine. A payload either engine rejects ends the
+  /// call with success = false. encode/decode_seconds sum both engines.
+  ReconcileOutcome Reconcile(const std::vector<uint64_t>& a,
+                             const std::vector<uint64_t>& b, double d_hat,
+                             uint64_t seed) const;
 
-  /// Mints the initiator-side engine for one wire session over `elements`
-  /// (the initiator's set A). `d_hat` and `seed` have exactly the
-  /// Reconcile() semantics — the scheme applies the same inflation policy
-  /// and derives the same random choices, so a session and an in-memory
-  /// call recover identical differences. Returns nullptr if the scheme
-  /// has no wire protocol (the session driver then reports an error).
+  /// Mints the initiator-side engine for one reconciliation over
+  /// `elements` (the initiator's set A). The scheme applies its inflation
+  /// policy to `d_hat` and derives every random choice from `seed`.
   virtual std::unique_ptr<ReconcileInitiator> CreateInitiator(
-      std::vector<uint64_t> /*elements*/, double /*d_hat*/,
-      uint64_t /*seed*/) const {
-    return nullptr;
-  }
+      std::vector<uint64_t> elements, double d_hat, uint64_t seed) const = 0;
 
-  /// Mints the responder-side engine for one wire session over `elements`
-  /// (the responder's set B). Protocol parameters the responder cannot
-  /// derive from `d_hat` arrive in the first request payload.
+  /// Mints the responder-side engine over `elements` (the responder's set
+  /// B). Protocol parameters the responder cannot derive from `d_hat`
+  /// arrive in the first request payload.
   virtual std::unique_ptr<ReconcileResponder> CreateResponder(
-      std::vector<uint64_t> /*elements*/, double /*d_hat*/,
-      uint64_t /*seed*/) const {
-    return nullptr;
-  }
+      std::vector<uint64_t> elements, double d_hat, uint64_t seed) const = 0;
 
   /// Mints a responder over a published store snapshot
   /// (core/element_store.h): the element vector is shared rather than

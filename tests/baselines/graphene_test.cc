@@ -1,23 +1,25 @@
-#include "pbs/baselines/graphene.h"
+// Graphene through the registry's in-process Reconcile(); the d argument
+// of ReconcileAt() is the scheme's sizing parameter, exactly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "pbs/sim/workload.h"
+#include "scheme_test_util.h"
 
 namespace pbs {
 namespace {
 
-bool Matches(std::vector<uint64_t> got, std::vector<uint64_t> want) {
-  std::sort(got.begin(), got.end());
-  std::sort(want.begin(), want.end());
-  return got == want;
+using test::Matches;
+
+ReconcileOutcome ReconcileAt(const SetPair& pair, int d, uint64_t seed) {
+  return test::ReconcileKnownD("graphene", pair.a, pair.b, d, seed);
 }
 
 TEST(Graphene, IdenticalSets) {
   SetPair pair = GenerateSetPair(2000, 0, 32, 1);
-  auto out = GrapheneReconcile(pair.a, pair.b, 1, 32, 1);
+  auto out = ReconcileAt(pair, 1, 1);
   EXPECT_TRUE(out.success);
   EXPECT_TRUE(out.difference.empty());
 }
@@ -31,7 +33,7 @@ TEST_P(GrapheneSweep, RecoversSubsetDifference) {
   for (int trial = 0; trial < kTrials; ++trial) {
     SetPair pair =
         GenerateSetPair(std::max(5000, 4 * d), d, 32, 7 * d + trial);
-    auto out = GrapheneReconcile(pair.a, pair.b, d, 32, trial);
+    auto out = ReconcileAt(pair, d, trial);
     if (out.success && Matches(out.difference, pair.truth_diff)) ++ok;
   }
   EXPECT_GE(ok, 9) << "d=" << d;
@@ -46,7 +48,7 @@ TEST(Graphene, SmallDUsesBloomFilterAndBeatsDDigestSizing) {
   // IBF-only and cost about what D.Digest costs.
   const int d = 20;
   SetPair pair = GenerateSetPair(50000, d, 32, 3);
-  auto out = GrapheneReconcile(pair.a, pair.b, d, 32, 3);
+  auto out = ReconcileAt(pair, d, 3);
   ASSERT_TRUE(out.success);
   // IBF-only: ~ cells * 12 bytes with cells ~ 1.7d + slack.
   EXPECT_LT(out.data_bytes, 3000u);
@@ -57,7 +59,7 @@ TEST(Graphene, LargeDRelativeToSetUsesBloomFilter) {
   // bytes should drop well below the IBF-only cost of ~ 1.7 * d * 12.
   const int d = 5000;
   SetPair pair = GenerateSetPair(20000, d, 32, 5);
-  auto out = GrapheneReconcile(pair.a, pair.b, d, 32, 5);
+  auto out = ReconcileAt(pair, d, 5);
   ASSERT_TRUE(out.success);
   const double ibf_only_estimate = 1.7 * d * 12.0;
   EXPECT_LT(static_cast<double>(out.data_bytes), ibf_only_estimate);
@@ -69,7 +71,7 @@ TEST(Graphene, SuccessRateMeetsHighTarget) {
   constexpr int kTrials = 60;
   for (int trial = 0; trial < kTrials; ++trial) {
     SetPair pair = GenerateSetPair(8000, 100, 32, 900 + trial);
-    auto out = GrapheneReconcile(pair.a, pair.b, 100, 32, trial * 13);
+    auto out = ReconcileAt(pair, 100, trial * 13);
     if (out.success && Matches(out.difference, pair.truth_diff)) ++ok;
   }
   EXPECT_GE(ok, kTrials - 1);

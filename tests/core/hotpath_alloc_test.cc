@@ -359,11 +359,6 @@ class ProbeScheme : public SetReconciler {
   const char* name() const override { return "alloc-probe"; }
   const char* display_name() const override { return "AllocProbe"; }
   bool supports_rounds() const override { return true; }
-  ReconcileOutcome Reconcile(const std::vector<uint64_t>&,
-                             const std::vector<uint64_t>&, double,
-                             uint64_t) const override {
-    return ReconcileOutcome{};
-  }
   std::unique_ptr<ReconcileInitiator> CreateInitiator(
       std::vector<uint64_t>, double, uint64_t) const override {
     return std::make_unique<ProbeInitiator>();

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "pbs/core/wire_session.h"
 #include "pbs/sim/workload.h"
 
 namespace pbs {
@@ -34,18 +36,21 @@ TEST(Endpoints, ManualMessageLoop) {
 }
 
 TEST(Endpoints, EstimateExchangeAgreesOnPlan) {
+  // The served estimate: the session layer's ToW phase hands both PBS
+  // endpoints one d-hat, so they plan the same (g, n, t) and settle.
   SetPair pair = GenerateSetPair(3000, 64, 32, 2);
-  PbsConfig config;
-  PbsAlice alice(pair.a, config, 7);
-  PbsBob bob(pair.b, config, 7);
-  auto request = alice.MakeEstimateRequest();
-  auto reply = bob.HandleEstimateRequest(request);
-  alice.HandleEstimateReply(reply);
-  EXPECT_EQ(alice.plan().d_used, bob.plan().d_used);
-  EXPECT_EQ(alice.plan().params.n, bob.plan().params.n);
-  EXPECT_EQ(alice.plan().params.t, bob.plan().params.t);
+  SessionConfig config;
+  config.seed = 7;
+  const SessionResult session = RunLoopbackSession(config, pair.a, pair.b);
+  ASSERT_TRUE(session.ok) << session.error;
+  EXPECT_TRUE(session.outcome.success);
+  const int d_used = InflateEstimate(session.d_hat, PbsConfig{}.gamma);
+  EXPECT_NE(session.outcome.params_summary.find(
+                "d_used=" + std::to_string(d_used)),
+            std::string::npos)
+      << session.outcome.params_summary;
   // gamma-inflated estimate should (usually) cover the true d.
-  EXPECT_GE(alice.plan().d_used, 40);
+  EXPECT_GE(d_used, 40);
 }
 
 TEST(Endpoints, RoundRequestSizeMatchesPlan) {

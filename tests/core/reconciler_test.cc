@@ -1,24 +1,26 @@
-#include "pbs/core/reconciler.h"
+// PBS through SetReconciler::Reconcile (the in-process pump over the
+// scheme's engines), with d known exactly (gamma = 1) unless noted.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
+#include "pbs/core/wire_session.h"
 #include "pbs/sim/workload.h"
+#include "scheme_test_util.h"
 
 namespace pbs {
 namespace {
 
-bool Matches(std::vector<uint64_t> got, std::vector<uint64_t> want) {
-  std::sort(got.begin(), got.end());
-  std::sort(want.begin(), want.end());
-  return got == want;
-}
+using test::Matches;
+using test::ReconcilePbs;
 
 TEST(Reconciler, IdenticalSetsFinishImmediately) {
   SetPair pair = GenerateSetPair(5000, 0, 32, 1);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 7, 0);
+  auto result = ReconcilePbs(pair.a, pair.b, config, 7, 0);
   EXPECT_TRUE(result.success);
   EXPECT_TRUE(result.difference.empty());
   EXPECT_EQ(result.rounds, 1);
@@ -27,7 +29,7 @@ TEST(Reconciler, IdenticalSetsFinishImmediately) {
 TEST(Reconciler, SingleDifference) {
   SetPair pair = GenerateSetPair(5000, 1, 32, 2);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 8, 1);
+  auto result = ReconcilePbs(pair.a, pair.b, config, 8, 1);
   EXPECT_TRUE(result.success);
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
 }
@@ -44,7 +46,7 @@ TEST_P(ReconcilerSweep, RecoversExactDifference) {
                                    1000 + trial * 31 + d);
     PbsConfig config;
     auto result =
-        PbsSession::Reconcile(pair.a, pair.b, config, 50 + trial, d);
+        ReconcilePbs(pair.a, pair.b, config, 50 + trial, d);
     if (result.success) {
       EXPECT_TRUE(Matches(result.difference, pair.truth_diff))
           << "claimed success but difference wrong, d=" << d;
@@ -62,23 +64,24 @@ TEST(Reconciler, TwoSidedDifferences) {
   // Elements on both sides (not the paper's B-subset-of-A setup).
   SetPair pair = GenerateTwoSidedPair(3000, 40, 25, 32, 9);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 3, 65);
+  auto result = ReconcilePbs(pair.a, pair.b, config, 3, 65);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
 }
 
 TEST(Reconciler, WithRealEstimatorExchange) {
+  // The served estimate: the session layer's ToW exchange sizes PBS.
   SetPair pair = GenerateSetPair(3000, 50, 32, 11);
-  PbsConfig config;
-  Transcript transcript;
-  auto result =
-      PbsSession::Reconcile(pair.a, pair.b, config, 5, -1, &transcript);
+  SessionConfig config;
+  config.seed = 5;
+  const SessionResult session = RunLoopbackSession(config, pair.a, pair.b);
+  ASSERT_TRUE(session.ok) << session.error;
+  const ReconcileOutcome& result = session.outcome;
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
-  EXPECT_GT(result.estimator_bytes, 0u);
-  // |A| = 3000 -> counters are ceil(log2(6001)) = 13 bits; 128 of them.
-  EXPECT_NEAR(result.estimator_bytes, 128 * 13 / 8 + 5, 8);
-  EXPECT_EQ(transcript.BytesInRound(0), result.estimator_bytes);
+  // Request: 64-bit |A| + 128 counters of ceil(log2(6001)) = 13 bits;
+  // reply: the 64-bit d-hat.
+  EXPECT_EQ(result.estimator_bytes, 8u + 128 * 13 / 8 + 8);
 }
 
 TEST(Reconciler, UnderestimatedDStillCorrectWhenItSucceeds) {
@@ -87,7 +90,7 @@ TEST(Reconciler, UnderestimatedDStillCorrectWhenItSucceeds) {
   SetPair pair = GenerateSetPair(4000, 60, 32, 13);
   PbsConfig config;
   config.max_rounds = 6;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 17, 10);
+  auto result = ReconcilePbs(pair.a, pair.b, config, 17, 10);
   if (result.success) {
     EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
   }
@@ -96,7 +99,7 @@ TEST(Reconciler, UnderestimatedDStillCorrectWhenItSucceeds) {
 TEST(Reconciler, GrossOverestimateStillWorks) {
   SetPair pair = GenerateSetPair(3000, 10, 32, 15);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 19, 500);
+  auto result = ReconcilePbs(pair.a, pair.b, config, 19, 500);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
 }
@@ -109,20 +112,10 @@ TEST(Reconciler, RoundCapReportsFailureHonestly) {
     SetPair pair = GenerateSetPair(4000, 100, 32, 21 + trial);
     PbsConfig config;
     config.max_rounds = 1;
-    auto result = PbsSession::Reconcile(pair.a, pair.b, config, trial, 20);
+    auto result = ReconcilePbs(pair.a, pair.b, config, trial, 20);
     if (!result.success) ++failures;
   }
   EXPECT_GE(failures, 4);
-}
-
-TEST(Reconciler, TranscriptMatchesReportedBytes) {
-  SetPair pair = GenerateSetPair(3000, 30, 32, 23);
-  PbsConfig config;
-  Transcript transcript;
-  auto result =
-      PbsSession::Reconcile(pair.a, pair.b, config, 29, 30, &transcript);
-  EXPECT_EQ(transcript.total_bytes(), result.data_bytes);
-  EXPECT_EQ(transcript.max_round(), result.rounds);
 }
 
 TEST(Reconciler, CommunicationNearTwiceMinimum) {
@@ -130,7 +123,7 @@ TEST(Reconciler, CommunicationNearTwiceMinimum) {
   const int d = 500;
   SetPair pair = GenerateSetPair(50000, d, 32, 31);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 37, d);
+  auto result = ReconcilePbs(pair.a, pair.b, config, 37, d);
   ASSERT_TRUE(result.success);
   const double minimum = d * 4.0;  // d * 32 bits.
   const double ratio = static_cast<double>(result.data_bytes) / minimum;
@@ -141,16 +134,22 @@ TEST(Reconciler, CommunicationNearTwiceMinimum) {
 TEST(Reconciler, DifferenceElementsNeverContainZero) {
   SetPair pair = GenerateSetPair(2000, 25, 32, 41);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 43, 25);
+  auto result = ReconcilePbs(pair.a, pair.b, config, 43, 25);
   for (uint64_t e : result.difference) EXPECT_NE(e, 0u);
 }
 
 TEST(Reconciler, PlanExposedInResult) {
   SetPair pair = GenerateSetPair(2000, 100, 32, 47);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 53, 100);
-  EXPECT_EQ(result.plan.params.g, 20);
-  EXPECT_GE(result.plan.params.n, 63);
+  auto result = ReconcilePbs(pair.a, pair.b, config, 53, 100);
+  int g = 0, n = 0, t = 0, d_used = 0;
+  ASSERT_EQ(std::sscanf(result.params_summary.c_str(),
+                        "g=%d n=%d t=%d d_used=%d", &g, &n, &t, &d_used),
+            4)
+      << result.params_summary;
+  EXPECT_EQ(g, 20);
+  EXPECT_GE(n, 63);
+  EXPECT_EQ(d_used, 100);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 #include <algorithm>
 
 #include "pbs/common/rng.h"
+#include "pbs/core/messages.h"
 #include "pbs/core/pbs_endpoints.h"
+#include "pbs/core/session_engine.h"
 #include "pbs/sim/workload.h"
 
 namespace pbs {
@@ -94,14 +96,45 @@ TEST(Robustness, EmptyMessagesHandled) {
 }
 
 TEST(Robustness, GarbageEstimateRequestHandled) {
+  // The served estimate phase: a responder whose ESTIMATE_REQ payload is
+  // replaced by garbage must fail closed instead of estimating from it.
   SetPair pair = GenerateSetPair(500, 5, 32, 79);
-  PbsConfig config;
-  PbsBob bob(pair.b, config, 13);
+  SessionConfig config;
+  config.seed = 13;
+  SessionEngine initiator = SessionEngine::Initiator(config, pair.a);
+  SessionEngine responder = SessionEngine::Responder(pair.b);
   Xoshiro256 rng(80);
-  std::vector<uint8_t> garbage(64);
-  for (auto& b : garbage) b = static_cast<uint8_t>(rng.Next());
-  auto reply = bob.HandleEstimateRequest(garbage);  // Must not crash.
-  EXPECT_EQ(reply.size(), 4u);
+  bool replaced = false;
+  std::vector<uint8_t> chunk(1 << 16);
+  for (int pass = 0; pass < 8; ++pass) {
+    std::vector<uint8_t> outbound;
+    while (initiator.Status() == SessionStatus::kWantWrite) {
+      const size_t n = initiator.Poll(chunk.data(), chunk.size());
+      outbound.insert(outbound.end(), chunk.begin(), chunk.begin() + n);
+    }
+    for (size_t pos = 0; pos < outbound.size();) {
+      wire::WireFrame frame;
+      size_t consumed = 0;
+      ASSERT_EQ(wire::DecodeFrame(outbound.data() + pos,
+                                  outbound.size() - pos, &frame, &consumed),
+                wire::FrameStatus::kOk);
+      pos += consumed;
+      if (frame.type == wire::FrameType::kEstimateRequest) {
+        for (auto& b : frame.payload) b = static_cast<uint8_t>(rng.Next());
+        replaced = true;
+      }
+      const std::vector<uint8_t> bytes = wire::EncodeFrame(frame);
+      responder.Feed(bytes.data(), bytes.size());  // Must not crash.
+    }
+    while (responder.Status() == SessionStatus::kWantWrite) {
+      const size_t n = responder.Poll(chunk.data(), chunk.size());
+      initiator.Feed(chunk.data(), n);
+    }
+  }
+  ASSERT_TRUE(replaced);
+  EXPECT_EQ(responder.Status(), SessionStatus::kError);
+  EXPECT_EQ(responder.result().error, "malformed estimate request");
+  EXPECT_EQ(initiator.Status(), SessionStatus::kError);
 }
 
 TEST(Robustness, ZeroLengthSetsReconcile) {

@@ -6,29 +6,26 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "pbs/core/reconciler.h"
+#include "pbs/core/pbs_endpoints.h"
 #include "pbs/sim/workload.h"
+#include "scheme_test_util.h"
 
 namespace pbs {
 namespace {
 
 TEST(StrongVerification, PassesOnCorrectReconciliation) {
   SetPair pair = GenerateSetPair(3000, 40, 32, 1);
+  PbsConfig plain;
   PbsConfig config;
   config.strong_verification = true;
-  Transcript transcript;
-  auto result =
-      PbsSession::Reconcile(pair.a, pair.b, config, 7, 40, &transcript);
+  auto result = test::ReconcilePbs(pair.a, pair.b, config, 7, 40);
+  auto baseline = test::ReconcilePbs(pair.a, pair.b, plain, 7, 40);
   ASSERT_TRUE(result.success);
+  ASSERT_TRUE(baseline.success);
+  EXPECT_TRUE(test::Matches(result.difference, pair.truth_diff));
+  EXPECT_EQ(result.rounds, baseline.rounds);
   // The epilogue costs exactly one 24-byte digest message.
-  bool saw_digest = false;
-  for (const auto& entry : transcript.entries()) {
-    if (entry.label == "strong_digest") {
-      saw_digest = true;
-      EXPECT_EQ(entry.bytes, 24u);
-    }
-  }
-  EXPECT_TRUE(saw_digest);
+  EXPECT_EQ(result.data_bytes, baseline.data_bytes + 24);
 }
 
 TEST(StrongVerification, DigestVerifiesManually) {

@@ -8,7 +8,7 @@
 
 #include "pbs/core/messages.h"
 #include "pbs/core/pbs_endpoints.h"
-#include "pbs/estimator/tow.h"
+#include "pbs/core/wire_session.h"
 #include "pbs/sim/workload.h"
 
 namespace pbs {
@@ -51,23 +51,17 @@ TEST(WireFormat, RoundOneReplyLayout) {
 }
 
 TEST(WireFormat, EstimateRequestSizeMatchesFormula) {
+  // The session layer's estimate phase (docs/WIRE_FORMAT.md): ESTIMATE_REQ
+  // carries the 64-bit |A| and 128 ToW counters of ceil(log2(2|A|+1))
+  // bits; ESTIMATE_REPLY carries the 64-bit d-hat. estimator_bytes is
+  // the sum of both payloads.
   SetPair pair = GenerateSetPair(1000, 10, 32, 3);
-  PbsConfig config;
-  PbsAlice alice(pair.a, config, 11);
-  const auto request = alice.MakeEstimateRequest();
-  // varint(|A| = 1000) = 2 groups of 8 bits; 128 counters of
-  // ceil(log2(2001)) = 11 bits.
-  const size_t expected_bits = 16 + 128 * 11;
-  EXPECT_EQ(request.size(), (expected_bits + 7) / 8);
-}
-
-TEST(WireFormat, EstimateReplyIsFourBytes) {
-  SetPair pair = GenerateSetPair(1000, 10, 32, 4);
-  PbsConfig config;
-  PbsAlice alice(pair.a, config, 13);
-  PbsBob bob(pair.b, config, 13);
-  const auto reply = bob.HandleEstimateRequest(alice.MakeEstimateRequest());
-  EXPECT_EQ(reply.size(), 4u);
+  SessionConfig config;
+  config.seed = 11;
+  const SessionResult session = RunLoopbackSession(config, pair.a, pair.b);
+  ASSERT_TRUE(session.ok) << session.error;
+  const size_t request_bits = 64 + 128 * 11;  // |A| = 1000: 11-bit counters.
+  EXPECT_EQ(session.outcome.estimator_bytes, (request_bits + 7) / 8 + 8);
 }
 
 TEST(WireFormat, StrongDigestIsTwentyFourBytes) {

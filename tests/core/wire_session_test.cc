@@ -5,9 +5,9 @@
 //     truncation or single-byte corruption is rejected, never mis-decoded.
 //  2. Transports: loopback and TCP move frames intact.
 //  3. Sessions: for EVERY scheme in the registry, a loopback session
-//     recovers a difference identical to the in-memory Reconcile() call
-//     with the same estimate and seed — the wire protocol is a faithful
-//     split of the algorithm, not a re-implementation.
+//     recovers a difference identical to the in-process Reconcile() call
+//     with the same estimate and seed — framing and transport never change
+//     what the scheme's engines compute.
 
 #include <gtest/gtest.h>
 
@@ -134,7 +134,7 @@ SchemeOptions TestOptions() {
 }
 
 // Registry-wide parity: the loopback session must recover the *identical*
-// difference vector (same elements, same order) as the in-memory call.
+// difference vector (same elements, same order) as the in-process call.
 TEST(WireSession, LoopbackMatchesInMemoryReconcileForEveryScheme) {
   const SetPair pair = GenerateTwoSidedPair(4000, 40, 60, 32, 0xA11CE);
   const double d_hat = static_cast<double>(pair.truth_diff.size());
@@ -158,8 +158,10 @@ TEST(WireSession, LoopbackMatchesInMemoryReconcileForEveryScheme) {
     ASSERT_TRUE(session.ok) << session.error;
     EXPECT_EQ(session.outcome.success, direct.success);
     EXPECT_EQ(session.outcome.rounds, direct.rounds);
+    EXPECT_EQ(session.outcome.data_bytes, direct.data_bytes);
+    EXPECT_EQ(session.outcome.params_summary, direct.params_summary);
     EXPECT_EQ(session.outcome.difference, direct.difference)
-        << "wire session and in-memory Reconcile diverged";
+        << "wire session and in-process Reconcile diverged";
     EXPECT_GT(session.outcome.wire_bytes,
               session.outcome.data_bytes)  // Frames add overhead.
         << "wire accounting missing";
@@ -183,7 +185,7 @@ TEST(WireSession, EstimatePhaseEndToEnd) {
     EXPECT_GT(session.d_hat, 0.0);
     EXPECT_GT(session.outcome.estimator_bytes, 0u);
     // The wire estimate phase must hand the engines the same d-hat an
-    // in-memory caller would have used — so session and direct call agree
+    // in-process caller would have used — so session and direct call agree
     // even when a scheme (legitimately, probabilistically) fails to decode
     // under an unlucky estimate.
     const auto reconciler =

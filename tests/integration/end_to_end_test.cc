@@ -5,23 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <unordered_set>
 
-#include "pbs/baselines/ddigest.h"
-#include "pbs/baselines/graphene.h"
-#include "pbs/baselines/pinsketch.h"
-#include "pbs/baselines/pinsketch_wp.h"
-#include "pbs/core/reconciler.h"
 #include "pbs/sim/workload.h"
+#include "scheme_test_util.h"
 
 namespace pbs {
 namespace {
 
-bool Matches(std::vector<uint64_t> got, std::vector<uint64_t> want) {
-  std::sort(got.begin(), got.end());
-  std::sort(want.begin(), want.end());
-  return got == want;
-}
+using test::Matches;
+using test::ReconcileKnownD;
+using test::ReconcilePbs;
 
 // --- Workload shapes beyond the paper's B-subset-of-A setup ---
 
@@ -32,6 +27,10 @@ struct Shape {
   size_t b_only;
 };
 
+// Without this, gtest prints a Shape as raw bytes, including the address
+// of `name`, which would make the listed test names differ on every run.
+void PrintTo(const Shape& s, std::ostream* os) { *os << s.name; }
+
 class ShapeTest : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(ShapeTest, PbsHandlesAllShapes) {
@@ -40,7 +39,7 @@ TEST_P(ShapeTest, PbsHandlesAllShapes) {
       GenerateTwoSidedPair(s.common, s.a_only, s.b_only, 32, 77);
   PbsConfig config;
   config.max_rounds = 5;
-  auto result = PbsSession::Reconcile(
+  auto result = ReconcilePbs(
       pair.a, pair.b, config, 7,
       static_cast<int>(1.4 * (s.a_only + s.b_only)) + 1);
   ASSERT_TRUE(result.success) << s.name;
@@ -65,7 +64,7 @@ TEST(Exceptions, BchFailurePathViaGrossUnderestimate) {
   SetPair pair = GenerateSetPair(2000, 60, 32, 5);
   PbsConfig config;
   config.max_rounds = 8;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 11, 5);
+  auto result = ReconcilePbs(pair.a, pair.b, config, 11, 5);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
   EXPECT_GE(result.rounds, 2);  // Splits cost at least one extra round.
@@ -81,7 +80,7 @@ TEST(Exceptions, TinyBitmapForcesTypeExceptionsAcrossRounds) {
   config.optimizer.min_m = 6;
   config.optimizer.max_m = 6;  // Pin the bitmap at n = 63.
   config.optimizer.t_high = 13.0;  // Allow t up to 65 so BCH decode works.
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 13, 60);
+  auto result = ReconcilePbs(pair.a, pair.b, config, 13, 60);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
   EXPECT_GE(result.rounds, 2);
@@ -96,7 +95,7 @@ TEST(Exceptions, MaxRoundsOneWithCollisionsFailsHonestly) {
   config.optimizer.min_m = 6;
   config.optimizer.max_m = 6;
   config.optimizer.t_high = 9.0;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 17, 40);
+  auto result = ReconcilePbs(pair.a, pair.b, config, 17, 40);
   EXPECT_FALSE(result.success);
 }
 
@@ -112,7 +111,7 @@ TEST(Correctness, ReportedSuccessIsAlwaysCorrect) {
     // Deliberately noisy estimates, under and over.
     const int d_used = std::max<int>(1, static_cast<int>(d) - 10 + trial % 21);
     auto result =
-        PbsSession::Reconcile(pair.a, pair.b, config, trial, d_used);
+        ReconcilePbs(pair.a, pair.b, config, trial, d_used);
     if (result.success) {
       EXPECT_TRUE(Matches(result.difference, pair.truth_diff))
           << "trial " << trial;
@@ -126,11 +125,11 @@ TEST(CrossScheme, AllSchemesAgreeOnTheSameInstance) {
   SetPair pair = GenerateSetPair(4000, 75, 32, 21);
   PbsConfig config;
 
-  auto pbs = PbsSession::Reconcile(pair.a, pair.b, config, 3, 104);
-  auto pin = PinSketchReconcile(pair.a, pair.b, 104, 32, 3);
-  auto dd = DDigestReconcile(pair.a, pair.b, 75, 32, 3);
-  auto gr = GrapheneReconcile(pair.a, pair.b, 104, 32, 3);
-  auto wp = PinSketchWpReconcile(pair.a, pair.b, 104, 5, 13, 32, 3, 3);
+  auto pbs = ReconcilePbs(pair.a, pair.b, config, 3, 104);
+  auto pin = ReconcileKnownD("pinsketch", pair.a, pair.b, 104, 3);
+  auto dd = ReconcileKnownD("ddigest", pair.a, pair.b, 75, 3);
+  auto gr = ReconcileKnownD("graphene", pair.a, pair.b, 104, 3);
+  auto wp = ReconcileKnownD("pinsketch-wp", pair.a, pair.b, 104, 3);
 
   ASSERT_TRUE(pbs.success);
   ASSERT_TRUE(pin.success);
@@ -149,9 +148,9 @@ TEST(CrossScheme, AllSchemesAgreeOnTheSameInstance) {
 TEST(CrossScheme, ByteOrderingPinsketchPbsDdigest) {
   SetPair pair = GenerateSetPair(6000, 150, 32, 23);
   PbsConfig config;
-  auto pbs = PbsSession::Reconcile(pair.a, pair.b, config, 5, 207);
-  auto pin = PinSketchReconcile(pair.a, pair.b, 207, 32, 5);
-  auto dd = DDigestReconcile(pair.a, pair.b, 150, 32, 5);
+  auto pbs = ReconcilePbs(pair.a, pair.b, config, 5, 207);
+  auto pin = ReconcileKnownD("pinsketch", pair.a, pair.b, 207, 5);
+  auto dd = ReconcileKnownD("ddigest", pair.a, pair.b, 150, 5);
   ASSERT_TRUE(pbs.success && pin.success && dd.success);
   EXPECT_LT(pin.data_bytes, pbs.data_bytes);
   EXPECT_LT(pbs.data_bytes, dd.data_bytes);
@@ -162,8 +161,8 @@ TEST(CrossScheme, ByteOrderingPinsketchPbsDdigest) {
 TEST(Determinism, IdenticalRunsProduceIdenticalResults) {
   SetPair pair = GenerateSetPair(3000, 64, 32, 29);
   PbsConfig config;
-  auto r1 = PbsSession::Reconcile(pair.a, pair.b, config, 31, 89);
-  auto r2 = PbsSession::Reconcile(pair.a, pair.b, config, 31, 89);
+  auto r1 = ReconcilePbs(pair.a, pair.b, config, 31, 89);
+  auto r2 = ReconcilePbs(pair.a, pair.b, config, 31, 89);
   EXPECT_EQ(r1.success, r2.success);
   EXPECT_EQ(r1.data_bytes, r2.data_bytes);
   EXPECT_EQ(r1.rounds, r2.rounds);
@@ -178,7 +177,7 @@ TEST(Determinism, IdenticalRunsProduceIdenticalResults) {
 TEST(Scale, HundredThousandElementsThousandDifferences) {
   SetPair pair = GenerateSetPair(100000, 1000, 32, 37);
   PbsConfig config;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, 41, 1380);
+  auto result = ReconcilePbs(pair.a, pair.b, config, 41, 1380);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(Matches(result.difference, pair.truth_diff));
   // ~2-3x minimum even at scale.

@@ -8,18 +8,15 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "pbs/core/reconciler.h"
 #include "pbs/markov/success_probability.h"
 #include "pbs/sim/workload.h"
+#include "scheme_test_util.h"
 
 namespace pbs {
 namespace {
 
-bool Matches(std::vector<uint64_t> got, std::vector<uint64_t> want) {
-  std::sort(got.begin(), got.end());
-  std::sort(want.begin(), want.end());
-  return got == want;
-}
+using test::Matches;
+using test::ReconcilePbs;
 
 // Invariant 1: a reported success is always exactly correct -- across a
 // grid of (seed, d, estimate-skew) combinations.
@@ -36,7 +33,7 @@ TEST_P(SuccessIsTruth, AcrossWorkloads) {
     PbsConfig config;
     config.max_rounds = 3 + variant;
     auto result =
-        PbsSession::Reconcile(pair.a, pair.b, config, seed, d_used);
+        ReconcilePbs(pair.a, pair.b, config, seed, d_used);
     if (result.success) {
       EXPECT_TRUE(Matches(result.difference, pair.truth_diff))
           << "seed=" << seed << " variant=" << variant;
@@ -56,8 +53,7 @@ TEST_P(NoCommonElements, DiffDisjointFromIntersection) {
                                       32, seed);
   PbsConfig config;
   config.max_rounds = 6;
-  auto result = PbsSession::Reconcile(pair.a, pair.b, config, seed ^ 0xF00,
-                                      120);
+  auto result = ReconcilePbs(pair.a, pair.b, config, seed ^ 0xF00, 120);
   if (!result.success) return;
   std::unordered_set<uint64_t> in_a(pair.a.begin(), pair.a.end());
   std::unordered_set<uint64_t> in_b(pair.b.begin(), pair.b.end());
@@ -76,8 +72,8 @@ TEST(SeedSweep, BytesGrowWithD) {
   double prev = 0;
   for (size_t d : {10, 50, 250, 1250}) {
     SetPair pair = GenerateSetPair(6000, d, 32, 99 + d);
-    auto result = PbsSession::Reconcile(pair.a, pair.b, config, 3,
-                                        static_cast<int>(1.4 * d));
+    auto result = ReconcilePbs(pair.a, pair.b, config, 3,
+                               static_cast<int>(1.4 * d));
     ASSERT_TRUE(result.success) << d;
     EXPECT_GT(static_cast<double>(result.data_bytes), prev) << d;
     prev = static_cast<double>(result.data_bytes);
@@ -98,7 +94,7 @@ TEST(SeedSweep, EmpiricalRoundOneMatchesMarkovModel) {
   config.optimizer.max_m = 6;
   for (int trial = 0; trial < kTrials; ++trial) {
     SetPair pair = GenerateSetPair(400, d, 32, 5000 + trial);
-    auto result = PbsSession::Reconcile(pair.a, pair.b, config, trial, d);
+    auto result = ReconcilePbs(pair.a, pair.b, config, trial, d);
     if (result.success) ++settled;
   }
   const double empirical = static_cast<double>(settled) / kTrials;
@@ -117,8 +113,8 @@ TEST_P(RoundMonotonicity, LargerCapNeverLosesSuccess) {
   tight.max_rounds = 2;
   PbsConfig loose;
   loose.max_rounds = 6;
-  auto r_tight = PbsSession::Reconcile(pair.a, pair.b, tight, seed, 166);
-  auto r_loose = PbsSession::Reconcile(pair.a, pair.b, loose, seed, 166);
+  auto r_tight = ReconcilePbs(pair.a, pair.b, tight, seed, 166);
+  auto r_loose = ReconcilePbs(pair.a, pair.b, loose, seed, 166);
   EXPECT_LE(r_tight.rounds, 2);
   EXPECT_LE(r_loose.rounds, 6);
   if (r_tight.success) {
