@@ -5,14 +5,20 @@
 // cross-group batch Chien search vs per-group incremental search, the
 // cross-group sketch decode vs per-sketch DecodeInto, the lane-blocked
 // parity-bitmap build / odd-bin scan / XOR-fold vs their scalar forms, the
-// four-cell IBF subtract vs cell-at-a-time, and the batched xxhash64 vs a
-// scalar hash loop. One table/JSON row per (kernel, path) pair; the `simd`
-// rows carry the speedup over the scalar row they follow, so the recorded
-// trajectory (BENCH_pbs.json) tracks both absolute cost and the win.
+// four-cell IBF subtract vs cell-at-a-time, the batched xxhash64 vs a
+// scalar hash loop, and the lane-batched Tug-of-War pass vs the
+// per-counter FourWiseHash::Sign loop. One table/JSON row per (kernel,
+// path) pair; the `simd` rows carry the speedup over the scalar row they
+// follow, so the recorded trajectory (BENCH_pbs.json) tracks both absolute
+// cost and the win.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -23,12 +29,16 @@
 #include "pbs/core/parity_bitmap.h"
 #include "pbs/gf/gfpoly.h"
 #include "pbs/gf/roots.h"
+#include "pbs/hash/fourwise.h"
 #include "pbs/hash/xxhash64.h"
 #include "pbs/ibf/invertible_bloom_filter.h"
 
 namespace {
 
 using pbs::ChienBatchPoly;
+using pbs::FourWiseBank;
+using pbs::FourWiseHash;
+using pbs::FourWiseKernel;
 using pbs::GF2m;
 using pbs::GFPoly;
 using pbs::InvertibleBloomFilter;
@@ -225,11 +235,64 @@ int main_impl() {
         }, budget));
   }
 
+  // ---- Tug-of-War estimate pass (ell = 128 four-wise hashes). ----
+  // The estimate's full-set pass at the paper's |S| = 10^6 in both modes:
+  // `reference` runs the per-counter FourWiseHash::Sign loop, then one row
+  // per FourWiseBank body this CPU runs, each with its speedup over the
+  // reference. One reference pass takes seconds, so a row is the best of
+  // three single passes, in ns per key.
+  {
+    constexpr size_t kKeys = 1000000;
+    constexpr size_t kEll = 128;
+    std::vector<uint64_t> keys(kKeys);
+    Xoshiro256 rng(81);
+    for (auto& k : keys) k = rng.Next();
+    const uint64_t seed = 0x70C;
+    const FourWiseBank bank(kEll, seed);
+    std::vector<FourWiseHash> hashes;
+    pbs::SplitMix64 seeds(seed);
+    for (size_t j = 0; j < kEll; ++j) hashes.emplace_back(seeds.Next());
+    std::vector<int64_t> sums(kEll);
+    const auto ns_per_key = [&](const std::function<void()>& pass) {
+      double best = 1e18;
+      for (int rep = 0; rep < 3; ++rep) {
+        const auto start = std::chrono::steady_clock::now();
+        pass();
+        best = std::min(best, std::chrono::duration<double, std::nano>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count());
+      }
+      return best / kKeys;
+    };
+    const std::string params = "keys=1000000 ell=128";
+    const double ref_ns = ns_per_key([&] {
+      for (size_t j = 0; j < kEll; ++j) {
+        int64_t acc = 0;
+        for (uint64_t x : keys) acc += hashes[j].Sign(x);
+        sums[j] = acc;
+      }
+    });
+    rec.AddRow({"tow_addall", "reference", params,
+                pbs::FormatDouble(ref_ns, 1), "1.00"});
+    const std::pair<FourWiseKernel, const char*> bodies[] = {
+        {FourWiseKernel::kPortable, "portable"},
+        {FourWiseKernel::kAvx2, "avx2"},
+        {FourWiseKernel::kAvx512, "avx512"}};
+    for (const auto& [kernel, path] : bodies) {
+      if (!FourWiseBank::Available(kernel)) continue;
+      const double ns = ns_per_key(
+          [&] { bank.AddSignsWith(kernel, keys, sums.data()); });
+      rec.AddRow({"tow_addall", path, params, pbs::FormatDouble(ns, 1),
+                  pbs::FormatDouble(ref_ns / ns, 2)});
+    }
+  }
+
   rec.Print();
   std::printf(
-      "\nEach simd row's speedup is against the scalar row above it; the\n"
-      "differential suites (ChienBatchDiff, DecodeBatchDiff, BitmapSimdDiff,\n"
-      "IbfSimdDiff, HashBatchDiff) pin every pair bit-identical.\n");
+      "\nEach simd row's speedup is against the scalar (tow_addall: the\n"
+      "reference) row above it; the differential suites (ChienBatchDiff,\n"
+      "DecodeBatchDiff, BitmapSimdDiff, IbfSimdDiff, HashBatchDiff,\n"
+      "TowSimdDiff) pin every pair bit-identical.\n");
   return 0;
 }
 

@@ -21,7 +21,8 @@ columns added after the baseline was recorded, are ignored) and prints
 per-record speedup ratios (> 1 is faster: baseline/new for ns_per_op,
 new/baseline for sessions_per_s). Any record worse than baseline by more
 than --regression-tolerance (default 10%) fails the script, so CI can
-gate on kernel AND server-throughput regressions:
+gate on kernel AND server-throughput regressions. --compare repeats: each
+baseline is gated in turn, and --report holds all their delta reports:
 
     scripts/collect_bench.py run.jsonl --run-id pr5 --compare pr3 \\
         --report bench_delta.txt
@@ -112,7 +113,9 @@ def describe(record):
     return " ".join(parts)
 
 
-def compare(new_records, trajectory, baseline_run_id, tolerance, report_path):
+def compare(new_records, trajectory, baseline_run_id, tolerance):
+    """Gates new_records against one baseline run id; returns (exit status,
+    delta report text)."""
     baseline = [r for r in trajectory
                 if r.get("run_id") == baseline_run_id
                 and compare_metric(r)[0] is not None]
@@ -127,7 +130,7 @@ def compare(new_records, trajectory, baseline_run_id, tolerance, report_path):
         else:
             print("the trajectory has no tagged records at all "
                   "(merge with --run-id first)", file=sys.stderr)
-        return 1
+        return 1, ""
 
     lines = [f"speedups vs run_id '{baseline_run_id}' "
              f"(ratio > 1 is faster, "
@@ -187,19 +190,16 @@ def compare(new_records, trajectory, baseline_run_id, tolerance, report_path):
                  f"{len(regressions)} regression(s)")
     text = "\n".join(lines)
     print(text)
-    if report_path:
-        Path(report_path).write_text(text + "\n", encoding="utf-8")
-        print(f"delta report written to {report_path}")
     if regressions:
         print("FAIL: regression(s) beyond tolerance:", file=sys.stderr)
         for r in regressions:
             print(f"  {r}", file=sys.stderr)
-        return 1
+        return 1, text
     if compared == 0:
         print("--compare: no new record matched the baseline",
               file=sys.stderr)
-        return 1
-    return 0
+        return 1, text
+    return 0, text
 
 
 def main():
@@ -210,10 +210,11 @@ def main():
                         help="merged trajectory file (default: %(default)s)")
     parser.add_argument("--run-id", default=None,
                         help="optional tag stored on this merge's records")
-    parser.add_argument("--compare", metavar="BASELINE_RUN_ID", default=None,
+    parser.add_argument("--compare", metavar="BASELINE_RUN_ID",
+                        action="append", default=[],
                         help="compare the merged records against the "
                              "trajectory records with this run_id and fail "
-                             "on regressions")
+                             "on regressions (repeat to gate several)")
     parser.add_argument("--regression-tolerance", type=float, default=0.10,
                         help="fractional slowdown vs baseline that counts "
                              "as a regression (default: %(default)s)")
@@ -257,10 +258,17 @@ def main():
     print(f"{out_path}: {added} new record(s), "
           f"{len(merged['records'])} total")
 
-    if args.compare is not None:
-        return compare(new_records, merged["records"], args.compare,
-                       args.regression_tolerance, args.report)
-    return 0
+    status, texts = 0, []
+    for baseline_run_id in args.compare:
+        rc, text = compare(new_records, merged["records"], baseline_run_id,
+                           args.regression_tolerance)
+        status = status or rc
+        texts.append(text)
+    if args.report and texts:
+        Path(args.report).write_text("\n\n".join(texts) + "\n",
+                                     encoding="utf-8")
+        print(f"delta report written to {args.report}")
+    return status
 
 
 if __name__ == "__main__":

@@ -1330,6 +1330,7 @@ void SessionEngine::HandleDigestTree() {
 void SessionEngine::HandleEstimateRequest() {
   BitReader r(frame_.payload);
   const uint64_t remote_size = r.ReadBits(64);
+  const int ell = config_.options.pbs.ell;
   // remote_size sets the per-counter width ceil(log2(2n+1)); cap it so a
   // hostile value cannot push the width past 64 bits (UB in ReadBits) —
   // real sets are orders of magnitude below this.
@@ -1338,14 +1339,18 @@ void SessionEngine::HandleEstimateRequest() {
     Fail("malformed estimate request");
     return;
   }
-  TowSketch remote = TowSketch::Deserialize(
-      &r, config_.options.pbs.ell, config_.estimate_seed, remote_size);
-  if (r.overflowed()) {
+  // Past the size, the payload holds exactly the ell counters: a short
+  // read and trailing bytes are both malformed.
+  const size_t counter_bytes =
+      (static_cast<size_t>(TowSketch::BitSize(ell, remote_size)) + 7) / 8;
+  if (frame_.payload.size() != 8 + counter_bytes) {
     AppendError("malformed estimate request");
     Fail("malformed estimate request");
     return;
   }
-  TowSketch local(config_.options.pbs.ell, config_.estimate_seed);
+  TowSketch remote = TowSketch::Deserialize(&r, ell, config_.estimate_seed,
+                                            remote_size);
+  TowSketch local(ell, config_.estimate_seed);
   local.AddAll(*elements_);
   d_hat_ = TowSketch::Estimate(remote, local);
   BitWriter w;

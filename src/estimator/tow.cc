@@ -3,33 +3,16 @@
 #include <cassert>
 #include <cmath>
 
-#include "pbs/common/rng.h"
-#include "pbs/hash/fourwise.h"
-
 namespace pbs {
 
-TowSketch::TowSketch(int ell, uint64_t seed) : counters_(ell, 0) {
+TowSketch::TowSketch(int ell, uint64_t seed)
+    : counters_(ell, 0),
+      hashes_(ell, seed ^ 0x7077536B65746368ull) {  // "towSketch"
   assert(ell >= 1);
-  SplitMix64 sm(seed ^ 0x7077536B65746368ull);  // "towSketch"
-  hash_seeds_.reserve(ell);
-  for (int i = 0; i < ell; ++i) hash_seeds_.push_back(sm.Next());
 }
 
-void TowSketch::Add(uint64_t element) {
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += FourWiseHash(hash_seeds_[i]).Sign(element);
-  }
-}
-
-void TowSketch::AddAll(const std::vector<uint64_t>& elements) {
-  // Construct each hash once and stream the set through it: cache-friendlier
-  // than re-deriving coefficients per element.
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    FourWiseHash h(hash_seeds_[i]);
-    int64_t acc = 0;
-    for (uint64_t e : elements) acc += h.Sign(e);
-    counters_[i] += acc;
-  }
+void TowSketch::AddAll(Span<const uint64_t> elements) {
+  hashes_.AddSigns(elements, counters_.data());
 }
 
 double TowSketch::Estimate(const TowSketch& a, const TowSketch& b) {

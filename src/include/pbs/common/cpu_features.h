@@ -8,7 +8,8 @@
 //  * Wide-lane SIMD (x86 AVX2 / AVX-512, AArch64 NEON), used by the
 //    lane-batched kernels: cross-group batch Chien search (gf/roots.cc),
 //    batched xxhash64 (hash/xxhash64.cc), vectorized parity-bitmap scan
-//    (core/parity_bitmap.cc) and IBF cell arithmetic (ibf/). Disabled by
+//    (core/parity_bitmap.cc), IBF cell arithmetic (ibf/) and the
+//    Tug-of-War estimate pass (hash/fourwise.cc). Disabled by
 //    -DPBS_DISABLE_SIMD=ON.
 //
 // Every kernel follows the same pattern: the hardware variant is compiled

@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "pbs/common/bitio.h"
+#include "pbs/common/workspace.h"
+#include "pbs/hash/fourwise.h"
 
 namespace pbs {
 
@@ -28,10 +30,11 @@ class TowSketch {
   TowSketch(int ell, uint64_t seed);
 
   /// Accumulates one element into every counter.
-  void Add(uint64_t element);
+  void Add(uint64_t element) { AddAll(Span<const uint64_t>(&element, 1)); }
 
-  /// Convenience: accumulate a whole set.
-  void AddAll(const std::vector<uint64_t>& elements);
+  /// Accumulates every element into every counter in one element-blocked
+  /// pass of the lane-batched FourWiseBank kernel. Allocation-free.
+  void AddAll(Span<const uint64_t> elements);
 
   int ell() const { return static_cast<int>(counters_.size()); }
   const std::vector<int64_t>& counters() const { return counters_; }
@@ -51,7 +54,7 @@ class TowSketch {
 
  private:
   std::vector<int64_t> counters_;
-  std::vector<uint64_t> hash_seeds_;
+  FourWiseBank hashes_;  // Counter i's hash function is hashes_ entry i.
 };
 
 /// One full estimate exchange between two in-memory sets: both sides

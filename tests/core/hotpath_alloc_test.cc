@@ -35,6 +35,7 @@
 #include "pbs/core/pbs_endpoints.h"
 #include "pbs/core/session_engine.h"
 #include "pbs/core/transport.h"
+#include "pbs/estimator/tow.h"
 #include "pbs/gf/gf2m.h"
 #include "pbs/gf/gfpoly.h"
 #include "pbs/gf/roots.h"
@@ -619,6 +620,9 @@ TEST(HotpathAlloc, BatchKernelsAreAllocationFree) {
   const SaltedHash h(0xB00B1E5);
   ParityBitmap pb;
   PowerSumSketch scan(field, t);
+  // The lane-batched ToW pass over the same elements: its key powers live
+  // in a stack block, so a constructed sketch adds without allocating.
+  TowSketch tow(kTowDefaultSketches, 0x70C);
 
   const auto run_batch = [&] {
     PowerSumSketch::DecodeBatchInto(
@@ -631,6 +635,7 @@ TEST(HotpathAlloc, BatchKernelsAreAllocationFree) {
     ChienSearchBatch(field, Span<ChienBatchPoly>(polys.data(), kB), ws);
     ParityBitmap::BuildInto(elems, h, n, &pb);
     pb.ToSketchInto(&scan);
+    tow.AddAll(elems);
   };
 
   // Warm-up twice: the first pass grows buffers, the second lets the LIFO

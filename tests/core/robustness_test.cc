@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <vector>
 
 #include "pbs/common/rng.h"
 #include "pbs/core/messages.h"
@@ -95,15 +97,16 @@ TEST(Robustness, EmptyMessagesHandled) {
   SUCCEED();
 }
 
-TEST(Robustness, GarbageEstimateRequestHandled) {
-  // The served estimate phase: a responder whose ESTIMATE_REQ payload is
-  // replaced by garbage must fail closed instead of estimating from it.
+// Runs one estimate session whose ESTIMATE_REQ payload passes through
+// `mutate` on its way to the responder, which must fail closed instead of
+// estimating from it.
+void ExpectEstimateRequestRejected(
+    const std::function<void(std::vector<uint8_t>*)>& mutate) {
   SetPair pair = GenerateSetPair(500, 5, 32, 79);
   SessionConfig config;
   config.seed = 13;
   SessionEngine initiator = SessionEngine::Initiator(config, pair.a);
   SessionEngine responder = SessionEngine::Responder(pair.b);
-  Xoshiro256 rng(80);
   bool replaced = false;
   std::vector<uint8_t> chunk(1 << 16);
   for (int pass = 0; pass < 8; ++pass) {
@@ -120,7 +123,7 @@ TEST(Robustness, GarbageEstimateRequestHandled) {
                 wire::FrameStatus::kOk);
       pos += consumed;
       if (frame.type == wire::FrameType::kEstimateRequest) {
-        for (auto& b : frame.payload) b = static_cast<uint8_t>(rng.Next());
+        mutate(&frame.payload);
         replaced = true;
       }
       const std::vector<uint8_t> bytes = wire::EncodeFrame(frame);
@@ -135,6 +138,24 @@ TEST(Robustness, GarbageEstimateRequestHandled) {
   EXPECT_EQ(responder.Status(), SessionStatus::kError);
   EXPECT_EQ(responder.result().error, "malformed estimate request");
   EXPECT_EQ(initiator.Status(), SessionStatus::kError);
+}
+
+TEST(Robustness, GarbageEstimateRequestHandled) {
+  Xoshiro256 rng(80);
+  ExpectEstimateRequestRejected([&](std::vector<uint8_t>* payload) {
+    for (auto& b : *payload) b = static_cast<uint8_t>(rng.Next());
+  });
+}
+
+TEST(Robustness, TrailingBytesAfterEstimateCountersRejected) {
+  // A well-formed size and counter block followed by extra bytes: one
+  // stray byte, and a whole extra 64-bit word.
+  for (size_t extra : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE(extra);
+    ExpectEstimateRequestRejected([&](std::vector<uint8_t>* payload) {
+      payload->insert(payload->end(), extra, 0);
+    });
+  }
 }
 
 TEST(Robustness, ZeroLengthSetsReconcile) {

@@ -64,5 +64,21 @@ TEST(FourWiseHash, EvalStaysBelowPrime) {
   }
 }
 
+TEST(FourWiseHash, EvalMatchesWideReferenceAtEdgeKeys) {
+  // Keys at and beyond p, where the Mersenne fold replaces x % p, against
+  // a Horner evaluation with a 128-bit % after every step.
+  constexpr uint64_t p = FourWiseHash::kPrime;
+  SplitMix64 seeds(61);
+  for (int trial = 0; trial < 50; ++trial) {
+    const FourWiseHash h(seeds.Next());
+    for (uint64_t x : {uint64_t{0}, p - 1, p, p + 1, 2 * p, ~uint64_t{0}}) {
+      const __uint128_t xm = x % p;
+      __uint128_t acc = h.coeff(3);
+      for (int k = 2; k >= 0; --k) acc = (acc * xm + h.coeff(k)) % p;
+      EXPECT_EQ(h.Eval(x), static_cast<uint64_t>(acc)) << "x=" << x;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pbs
