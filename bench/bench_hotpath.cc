@@ -13,13 +13,12 @@
 //
 // Output: one table row per (kernel, path, n, t, d, threads) with ns/op
 // and op/s; JSON via PBS_BENCH_JSON (see docs/BENCHMARKS.md). The
-// pbs_round_cycle rows drive the real PbsAlice/PbsBob endpoints over a
-// multi-group plan at decode_threads = 1/2/4 -- the per-group parallel
+// pbs_round_cycle rows drive the pbs scheme's initiator/responder engines
+// over a multi-group plan at decode_threads = 1/2/4 -- the per-group parallel
 // decode records (near-linear scaling expected on idle multi-core
 // hardware; single-core machines record the pool's overhead instead).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -31,7 +30,7 @@
 #include "pbs/common/bitio.h"
 #include "pbs/common/workspace.h"
 #include "pbs/core/parity_bitmap.h"
-#include "pbs/core/pbs_endpoints.h"
+#include "pbs/core/set_reconciler.h"
 #include "pbs/gf/gf2m.h"
 #include "pbs/hash/hash_family.h"
 #include "pbs/sim/metrics.h"
@@ -174,15 +173,16 @@ int main_impl() {
     }
   }
 
-  // ---- Endpoint rounds over a multi-group plan: parallel decode. ----
-  // One op = the complete multi-round request/reply loop of a fresh
-  // endpoint pair. Construction, planning, and the pool spawn happen
-  // OUTSIDE the timed region (they are per-session setup, not per-round
-  // work), so the threads=N rows isolate what decode_threads actually
-  // parallelizes: the per-group encode/decode phases of every round.
-  // Reported is the best rep (least scheduler noise); near-linear scaling
-  // needs idle multi-core hardware -- single-core machines record the
-  // pool's fork/join overhead instead.
+  // ---- Engine rounds over a multi-group plan: parallel decode. ----
+  // One op = the encode + decode time both engines report for one
+  // complete reconcile (Reconcile() sums their timers). Per-session
+  // setup -- planning, group partition, pool spawn -- runs outside every
+  // timer (the responder plans inside its first HandleRequest, which a
+  // wall clock around the loop would count), so the threads=N rows
+  // isolate what decode_threads actually parallelizes: the per-group
+  // encode/decode phases of every round. Reported is the best rep (least
+  // scheduler noise); near-linear scaling needs idle multi-core hardware
+  // -- single-core machines record the pool's fork/join overhead instead.
   {
     const int d = full ? 512 : 256;
     const int reps = full ? 40 : 15;
@@ -190,36 +190,24 @@ int main_impl() {
         pbs::GenerateSetPair(4000, static_cast<size_t>(d), 32, 0x9A5EED);
     std::vector<uint64_t> truth = pair.truth_diff;
     std::sort(truth.begin(), truth.end());
+    pbs::SchemeOptions options;
+    options.pbs.gamma = 1.0;  // d-hat = d_used = d.
+    const pbs::PbsPlanParams plan = pbs::PlanFor(options.pbs, d).params;
     for (int threads : {1, 2, 4}) {
-      pbs::PbsConfig cfg;
-      cfg.decode_threads = threads;
+      options.pbs.decode_threads = threads;
+      const auto scheme =
+          pbs::SchemeRegistry::Instance().Create("pbs", options);
       const uint64_t seed = 0xB0B;
-      int plan_n = 0;
-      int plan_t = 0;
       bool ok = true;
       double best_ns = 1e18;
-      std::vector<uint8_t> req, reply;
       for (int rep = 0; rep < reps; ++rep) {
-        pbs::PbsAlice alice(pair.a, cfg, seed);
-        pbs::PbsBob bob(pair.b, cfg, seed);
-        alice.SetDifferenceEstimate(d);
-        bob.SetDifferenceEstimate(d);
-        const auto start = std::chrono::steady_clock::now();
-        for (int r = 0; r < cfg.max_rounds && !alice.finished(); ++r) {
-          alice.MakeRoundRequest(&req);
-          bob.HandleRoundRequest(req, &reply);
-          alice.HandleRoundReply(reply);
-        }
-        const auto stop = std::chrono::steady_clock::now();
+        pbs::ReconcileOutcome outcome =
+            scheme->Reconcile(pair.a, pair.b, d, seed);
         best_ns = std::min(
-            best_ns,
-            std::chrono::duration<double, std::nano>(stop - start).count());
-        plan_n = alice.plan().params.n;
-        plan_t = alice.plan().params.t;
-        ok = ok && alice.finished();
-        auto diff = alice.Difference();
-        std::sort(diff.begin(), diff.end());
-        ok = ok && diff == truth;
+            best_ns, 1e9 * (outcome.encode_seconds + outcome.decode_seconds));
+        ok = ok && outcome.success;
+        std::sort(outcome.difference.begin(), outcome.difference.end());
+        ok = ok && outcome.difference == truth;
       }
       if (!ok) {
         std::fprintf(stderr,
@@ -228,8 +216,8 @@ int main_impl() {
                      threads);
         return 1;
       }
-      rec.AddRow({"pbs_round_cycle", "endpoints", std::to_string(plan_n),
-                  std::to_string(plan_t), std::to_string(d),
+      rec.AddRow({"pbs_round_cycle", "endpoints", std::to_string(plan.n),
+                  std::to_string(plan.t), std::to_string(d),
                   std::to_string(threads), pbs::FormatDouble(best_ns, 1),
                   pbs::bench::FormatMops(best_ns)});
     }

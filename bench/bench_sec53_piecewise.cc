@@ -6,10 +6,11 @@
 // 0.962 / 0.0380 / 3.61e-4 / 2.86e-6 for rounds 1-4.
 
 #include <cstdio>
+#include <unordered_set>
 #include <vector>
 
 #include "bench_common.h"
-#include "pbs/core/pbs_endpoints.h"
+#include "pbs/core/set_reconciler.h"
 #include "pbs/markov/piecewise.h"
 #include "pbs/sim/metrics.h"
 #include "pbs/sim/workload.h"
@@ -30,8 +31,10 @@ int main() {
   }
   analytic.Print();
 
-  // Empirical: drive the endpoints round by round and count how many truth
-  // elements have been recovered after each round.
+  // Empirical: count how many truth elements have been recovered after each
+  // round. The difference after round k is the outcome of a run capped at
+  // max_rounds = k: every run is seed-deterministic, so the capped runs
+  // replay the same first k rounds.
   const int instances = bench::FullMode() ? 200 : 30;
   const size_t set_size = bench::FullMode() ? 1000000 : 100000;
   std::printf("\nEmpirical (|A|=%zu, %d instances, d=1000, d known):\n",
@@ -39,20 +42,20 @@ int main() {
   std::vector<double> recovered_by_round(5, 0.0);
   for (int i = 0; i < instances; ++i) {
     SetPair pair = GenerateSetPair(set_size, 1000, 32, 0x5EC53 + i);
-    PbsConfig config;
-    config.max_rounds = 4;
-    PbsAlice alice(pair.a, config, 100 + i);
-    PbsBob bob(pair.b, config, 100 + i);
-    alice.SetDifferenceEstimate(1000);
-    bob.SetDifferenceEstimate(1000);
     std::unordered_set<uint64_t> truth(pair.truth_diff.begin(),
                                        pair.truth_diff.end());
     bool finished = false;
     for (int round = 1; round <= 4 && !finished; ++round) {
-      finished = alice.HandleRoundReply(
-          bob.HandleRoundRequest(alice.MakeRoundRequest()));
+      SchemeOptions options;
+      options.pbs.gamma = 1.0;  // d-hat = d_used = 1000, d known.
+      options.pbs.max_rounds = round;
+      const ReconcileOutcome outcome =
+          SchemeRegistry::Instance()
+              .Create("pbs", options)
+              ->Reconcile(pair.a, pair.b, 1000, 100 + i);
+      finished = outcome.success;
       size_t correct = 0;
-      for (uint64_t e : alice.Difference()) {
+      for (uint64_t e : outcome.difference) {
         if (truth.count(e)) ++correct;
       }
       recovered_by_round[round] += static_cast<double>(correct) / 1000.0;

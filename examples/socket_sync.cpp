@@ -1,13 +1,13 @@
 // Set reconciliation over a real transport: two processes reconcile
 // across a UNIX socketpair through the framed session layer.
 //
-// Before the session layer existed this example hand-rolled its own
-// length-prefixed framing around the PbsAlice/PbsBob endpoints. Now both
-// processes just hand their set and a ByteTransport to the session driver
-// (core/wire_session.h): the child serves as the responder, the parent
-// initiates with the scheme named on the command line (default pbs, with
-// strong verification on), and the driver does the handshake, the ToW
-// estimate exchange, the per-scheme rounds, and the byte accounting.
+// Neither process touches framing or the scheme's engines: both hand their
+// set and a ByteTransport to the session driver (core/wire_session.h),
+// which runs the scheme's initiator/responder engines. The child serves as
+// the responder, the parent initiates with the scheme named on the command
+// line (default pbs, with strong verification on), and the driver does the
+// handshake, the ToW estimate exchange, the per-scheme rounds, and the
+// byte accounting.
 //
 // Usage: example_socket_sync [scheme]     (any name from `--list-schemes`)
 

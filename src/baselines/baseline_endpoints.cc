@@ -72,10 +72,10 @@ class PinSketchInitiator : public ReconcileInitiator {
         sig_bits_(sig_bits),
         t_(std::max(1, InflateEstimate(d_hat, gamma))) {}
 
-  std::vector<uint8_t> NextRequest() override {
+  void NextRequest(std::vector<uint8_t>* out) override {
     BitWriter w;
     w.WriteBits(static_cast<uint32_t>(t_), 32);
-    return w.TakeBytes();
+    *out = w.TakeBytes();
   }
 
   bool HandleReply(const std::vector<uint8_t>& reply) override {
@@ -157,10 +157,10 @@ class DDigestInitiator : public ReconcileInitiator {
         d_est_(std::max(
             1, std::max(0, static_cast<int>(std::llround(d_hat))))) {}
 
-  std::vector<uint8_t> NextRequest() override {
+  void NextRequest(std::vector<uint8_t>* out) override {
     BitWriter w;
     w.WriteBits(static_cast<uint32_t>(d_est_), 32);
-    return w.TakeBytes();
+    *out = w.TakeBytes();
   }
 
   bool HandleReply(const std::vector<uint8_t>& reply) override {
@@ -249,10 +249,10 @@ class GrapheneInitiator : public ReconcileInitiator {
         sig_bits_(sig_bits),
         d_est_(std::max(InflateEstimate(d_hat, gamma), 1)) {}
 
-  std::vector<uint8_t> NextRequest() override {
+  void NextRequest(std::vector<uint8_t>* out) override {
     BitWriter w;
     w.WriteBits(static_cast<uint32_t>(d_est_), 32);
-    return w.TakeBytes();
+    *out = w.TakeBytes();
   }
 
   bool HandleReply(const std::vector<uint8_t>& reply) override {
@@ -428,7 +428,7 @@ class PinSketchWpInitiator : public ReconcileInitiator {
     }
   }
 
-  std::vector<uint8_t> NextRequest() override {
+  void NextRequest(std::vector<uint8_t>* out) override {
     const auto encode_start = Clock::now();
     ++round_;
     BitWriter w;
@@ -452,7 +452,7 @@ class PinSketchWpInitiator : public ReconcileInitiator {
     }
     request_bytes_ = w.byte_size() - header_bytes;
     timers_.encode_seconds += Seconds(encode_start, Clock::now());
-    return w.TakeBytes();
+    *out = w.TakeBytes();
   }
 
   bool HandleReply(const std::vector<uint8_t>& reply) override {

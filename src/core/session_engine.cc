@@ -1027,7 +1027,7 @@ void SessionEngine::StartSchemePhase() {
 
 void SessionEngine::EmitNextRequest() {
   ++exchange_;
-  initiator_engine_->NextRequestInto(&payload_scratch_);
+  initiator_engine_->NextRequest(&payload_scratch_);
   AppendOutbound(FrameType::kSchemeRequest, exchange_, payload_scratch_.data(),
                  payload_scratch_.size(), "sending round request");
 }

@@ -13,7 +13,7 @@ ReconcileOutcome SetReconciler::Reconcile(const std::vector<uint64_t>& a,
       CreateResponder(b, d_hat, seed);
   std::vector<uint8_t> request, reply;  // Reused across the rounds.
   while (!initiator->done()) {
-    initiator->NextRequestInto(&request);
+    initiator->NextRequest(&request);
     if (!responder->HandleRequest(request, &reply) ||
         !initiator->HandleReply(reply)) {
       return {};  // Fail closed: success stays false.

@@ -110,8 +110,8 @@ class PowerSumSketch {
   /// XORs a raw odd-syndrome block (t entries of another sketch over the
   /// same field, e.g. a wire-read slice of a peer's sketch) into this one:
   /// Merge() without materializing a second PowerSumSketch. Used by the
-  /// parallel per-group decode, which stages every peer sketch in one flat
-  /// buffer (core/pbs_endpoints.cc).
+  /// pbs responder's per-group decode, which stages every peer sketch in
+  /// one flat buffer (core/pbs_reconciler.cc).
   void MergeOdd(Span<const uint64_t> odd_syndromes);
 
  private:

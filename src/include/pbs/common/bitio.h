@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace pbs {
@@ -21,6 +22,14 @@ namespace pbs {
 class BitWriter {
  public:
   BitWriter() = default;
+
+  /// Writes into `buffer`'s storage: its contents are discarded, its
+  /// capacity kept. Paired with TakeBytes() this fills a caller-owned
+  /// buffer in place, allocation-free once it has seen its peak size:
+  /// `BitWriter w(std::move(*out)); ...; *out = w.TakeBytes();`
+  explicit BitWriter(std::vector<uint8_t> buffer) : bytes_(std::move(buffer)) {
+    bytes_.clear();
+  }
 
   /// Appends the `bits` low-order bits of `value` (0 <= bits <= 64).
   void WriteBits(uint64_t value, int bits);

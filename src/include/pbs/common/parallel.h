@@ -6,10 +6,10 @@
 // per-round decode an embarrassingly parallel loop. A ParallelFor owns
 // threads()-1 persistent worker threads (the calling thread is worker 0)
 // and partitions [0, count) over them by atomic work stealing, so a pool
-// created once per endpoint amortizes thread spawn cost over every round.
+// created once per engine amortizes thread spawn cost over every round.
 //
 // Ownership rules (see docs/ARCHITECTURE.md, "Hot path & Workspace"):
-//  * The *endpoint* (PbsAlice/PbsBob impl) owns the pool, created lazily
+//  * The *engine* (the pbs initiator or responder) owns the pool, created
 //    when its config asks for more than one decode thread; kernels never
 //    spawn threads themselves.
 //  * Every mutable per-task state (Workspace, ParityBitmap, sketch

@@ -50,9 +50,9 @@ struct ApplyResult {
 /// Immutable pre-built first-round responder state of one snapshot: per
 /// root group the parity bitmap, the t odd syndromes of its odd-parity bin
 /// set, and the Section 2.2.2 set checksum. Valid only for sessions whose
-/// (seed, config, d_used) match -- PbsBob adopts it when they do and falls
-/// back to a from-scratch build otherwise, so adoption is purely a setup
-/// optimization, never a correctness dependency.
+/// (seed, config, d_used) match -- the pbs responder adopts it when they
+/// do and falls back to a from-scratch build otherwise, so adoption is
+/// purely a setup optimization, never a correctness dependency.
 struct PbsStoreLayout {
   uint64_t seed = 0;     ///< Session hash seed the bitmaps were built under.
   PbsConfig config;      ///< Plan-affecting knobs (sig_bits folded in).

@@ -6,7 +6,8 @@
 //    varint |A| ; ell counters of ceil(log2(2|A|+1)) bits (zig-zag).
 //  EstimateReply    (Bob -> Alice):
 //    32-bit d_used = ceil(gamma * d-hat).
-//  RoundRequest     (Alice -> Bob), round k:
+//  RoundRequest     (Alice -> Bob), round k, after the pbs payload header
+//  (u8 kind, plus u32 d_used in round 1; docs/WIRE_FORMAT.md §3.1):
 //    k >= 2: one settled bit per unit that decoded OK in round k-1;
 //    then, per active unit in canonical order: BCH sketch (t*m bits).
 //  RoundReply       (Bob -> Alice), per active unit:

@@ -1,7 +1,9 @@
-// SetReconciler for PBS itself: wraps the PbsAlice/PbsBob endpoint pair
-// as the scheme's initiator/responder engines, applying the
-// gamma-conservative estimate inflation of Section 6.2 and the Appendix
-// J.3 wide-signature wire accounting.
+// SetReconciler for PBS itself. Its initiator engine is the paper's Alice
+// (learns the difference; applies the gamma-conservative estimate
+// inflation of Section 6.2 and the Appendix J.3 wide-signature wire
+// accounting), its responder engine is Bob. Both live in
+// core/pbs_reconciler.cc; wire sessions and the in-process Reconcile()
+// drive the same pair.
 
 #ifndef PBS_CORE_PBS_RECONCILER_H_
 #define PBS_CORE_PBS_RECONCILER_H_
@@ -18,9 +20,10 @@ class PbsReconciler : public SetReconciler {
   const char* display_name() const override { return "PBS"; }
   bool supports_rounds() const override { return true; }
 
-  /// Engines wrapping PbsAlice / PbsBob (docs/WIRE_FORMAT.md, "pbs
-  /// payloads"). The responder reports PbsBob's timers, so Reconcile()
-  /// counts both endpoints' encode/decode time.
+  /// Alice's and Bob's engines (docs/WIRE_FORMAT.md, "pbs payloads").
+  /// Both validate `elements` (nonzero, sig_bits wide; std::invalid_argument
+  /// otherwise). The responder reports its timers, so Reconcile() counts
+  /// both sides' encode/decode time.
   std::unique_ptr<ReconcileInitiator> CreateInitiator(
       std::vector<uint64_t> elements, double d_hat,
       uint64_t seed) const override;
@@ -29,7 +32,7 @@ class PbsReconciler : public SetReconciler {
       uint64_t seed) const override;
 
   /// Snapshot fast path (core/element_store.h): shares the snapshot's
-  /// element vector and hands PbsBob the pre-built layout; Bob adopts it
+  /// element vector and hands Bob the pre-built layout; Bob adopts it
   /// when the session's (seed, sig_bits, plan shape) match and silently
   /// rebuilds otherwise. Returns nullptr only when the snapshot carries no
   /// layout at all (the engine then uses the plain CreateResponder path,

@@ -85,7 +85,8 @@ struct PbsTimers {
 /// it across a ByteTransport, so endpoint implementations never see
 /// framing or sockets.
 ///
-/// Call sequence: while !done(): NextRequest() -> (peer) -> HandleReply().
+/// Call sequence: while !done(): NextRequest(&out) -> (peer) ->
+/// HandleReply().
 /// After done(), TakeOutcome() yields the reconciliation outcome. These
 /// engines are the scheme's only implementation: SetReconciler::Reconcile
 /// pumps the same pair in-process, so a wire session and an in-process
@@ -94,18 +95,11 @@ class ReconcileInitiator {
  public:
   virtual ~ReconcileInitiator() = default;
 
-  /// Builds the next request payload. Precondition: !done(). Advances the
-  /// scheme's round state.
-  virtual std::vector<uint8_t> NextRequest() = 0;
-
-  /// Buffer-reusing variant of NextRequest(): overwrites `*out` with the
-  /// next request payload. The default wraps NextRequest(); multi-round
-  /// schemes override it to reuse `out`'s capacity, which is what keeps
-  /// steady-state SessionEngine rounds allocation-free
-  /// (tests/core/hotpath_alloc_test.cc).
-  virtual void NextRequestInto(std::vector<uint8_t>* out) {
-    *out = NextRequest();
-  }
+  /// Overwrites `*out` with the next request payload. Precondition:
+  /// !done(). Advances the scheme's round state. Multi-round schemes reuse
+  /// `out`'s capacity, which is what keeps steady-state SessionEngine
+  /// rounds allocation-free (tests/core/hotpath_alloc_test.cc).
+  virtual void NextRequest(std::vector<uint8_t>* out) = 0;
 
   /// Consumes the responder's reply to the last request. Returns false on
   /// a malformed reply (the session is then aborted with a wire error).

@@ -59,6 +59,15 @@ std::string FallbackSchemeAt(const std::string& primary, int level,
   return std::string();
 }
 
+// Builds `name` for one shard's engines. They run serial -- the shard
+// loop owns the parallelism -- so decode_threads is pinned to 1.
+std::unique_ptr<SetReconciler> CreateSerialScheme(const SchemeRegistry& reg,
+                                                  const std::string& name,
+                                                  SchemeOptions options) {
+  options.pbs.decode_threads = 1;
+  return reg.Create(name, options);
+}
+
 double BitsToDouble(uint64_t bits) {
   double value;
   std::memcpy(&value, &bits, sizeof(value));
@@ -176,12 +185,10 @@ ShardedCoordinator::ShardedCoordinator(const SessionConfig& config,
     : config_(config), elements_(std::move(elements)), registry_(registry) {
   pipeline_ = config_.shard_pipeline < 1 ? 1 : config_.shard_pipeline;
   plan_ = ShardPlan::Derive(config_.keyspace_shards, config_.seed);
-  // Per-shard engines run serial: the shard loop owns the parallelism.
-  SchemeOptions options = config_.options;
-  options.pbs.decode_threads = 1;
   const SchemeRegistry& reg =
       registry != nullptr ? *registry : SchemeRegistry::Instance();
-  reconciler_ = reg.Create(config_.scheme_name, options);
+  reconciler_ =
+      CreateSerialScheme(reg, config_.scheme_name, config_.options);
   if (reconciler_ == nullptr) {
     error_ = "unknown scheme '" + config_.scheme_name + "'";
   }
@@ -232,11 +239,7 @@ ShardedCoordinator::ShardedCoordinator(const SessionConfig& config,
       sub->scheme_name =
           FallbackSchemeAt(config_.scheme_name, p.degrade_level, reg);
       sub->scheme_wire_id = wire::SchemeWireId(sub->scheme_name);
-      SchemeOptions options = config_.options;
-      options.pbs.decode_threads = 1;
-      if (!sub->scheme_name.empty()) {
-        sub->alt = reg.Create(sub->scheme_name, options);
-      }
+      sub->alt = CreateSerialScheme(reg, sub->scheme_name, config_.options);
       if (sub->alt == nullptr || sub->scheme_wire_id == 0) {
         error_ = "resume token names an unavailable fallback scheme";
         return;
@@ -376,7 +379,7 @@ void ShardedCoordinator::StartAttempt(Sub& sub) {
     sub.error = "scheme '" + name + "' has no wire protocol";
     return;
   }
-  sub.engine->NextRequestInto(&sub.raw);
+  sub.engine->NextRequest(&sub.raw);
   sub.StageRequest();
   sub.phase = Sub::kAwaitScheme;
 }
@@ -389,10 +392,7 @@ bool ShardedCoordinator::TryDegrade(Sub& sub) {
       registry_ != nullptr ? *registry_ : SchemeRegistry::Instance();
   const std::string name =
       FallbackSchemeAt(config_.scheme_name, sub.degrade_level + 1, reg);
-  if (name.empty()) return false;
-  SchemeOptions options = config_.options;
-  options.pbs.decode_threads = 1;
-  auto alt = reg.Create(name, options);
+  auto alt = CreateSerialScheme(reg, name, config_.options);
   if (alt == nullptr) return false;
   if (sub.degrade_level == 0) {
     degraded_.fetch_add(1, std::memory_order_relaxed);
@@ -435,7 +435,7 @@ void ShardedCoordinator::Process(Sub& sub, const SubFrame& frame) {
       if (!sub.engine->done()) {
         // Later rounds of the same attempt keep the prefix: the record
         // format stays uniform and the responder re-checks consistency.
-        sub.engine->NextRequestInto(&sub.raw);
+        sub.engine->NextRequest(&sub.raw);
         sub.StageRequest();
         return;
       }
@@ -686,11 +686,10 @@ ShardedResponderMux::ShardedResponderMux(
     std::shared_ptr<const StoreSnapshot> snapshot)
     : config_(config), elements_(std::move(elements)), registry_(registry) {
   plan_ = ShardPlan::Derive(accepted_shards, config_.seed);
-  SchemeOptions options = config_.options;
-  options.pbs.decode_threads = 1;
   const SchemeRegistry& reg =
       registry != nullptr ? *registry : SchemeRegistry::Instance();
-  reconciler_ = reg.Create(config_.scheme_name, options);
+  reconciler_ =
+      CreateSerialScheme(reg, config_.scheme_name, config_.options);
   if (reconciler_ == nullptr) {
     error_ = "unknown scheme '" + config_.scheme_name + "'";
     return;
@@ -869,12 +868,8 @@ void ShardedResponderMux::Process(Sub& sub, const SubFrame& frame) {
             const SchemeRegistry& reg = registry_ != nullptr
                                             ? *registry_
                                             : SchemeRegistry::Instance();
-            std::unique_ptr<SetReconciler> alt;
-            if (!name.empty() && reg.Contains(name)) {
-              SchemeOptions options = config_.options;
-              options.pbs.decode_threads = 1;
-              alt = reg.Create(name, options);
-            }
+            std::unique_ptr<SetReconciler> alt =
+                CreateSerialScheme(reg, name, config_.options);
             if (alt == nullptr) {
               sub.error = ShardError(
                   "sub-session names an unavailable fallback scheme",

@@ -5,8 +5,9 @@
 // load-bearing property of the Workspace refactor: once warm, one full PBS
 // round encode -> decode cycle -- parity-bitmap binning, power-sum
 // sketching, wire (de)serialization, BM + Chien decoding, element
-// recovery, verification -- performs ZERO heap allocations. Endpoint-level
-// round-request encoding and the IBF peeling path are pinned too.
+// recovery, verification -- performs ZERO heap allocations. The pbs
+// initiator engine's round-request encoding and the IBF peeling path are
+// pinned too.
 //
 // If any of these tests regress, a std::vector (or node container) crept
 // back into a per-round code path; thread it through pbs::Workspace or a
@@ -32,8 +33,8 @@
 #include "pbs/core/element_store.h"
 #include "pbs/core/params.h"
 #include "pbs/core/parity_bitmap.h"
-#include "pbs/core/pbs_endpoints.h"
 #include "pbs/core/session_engine.h"
+#include "pbs/core/set_reconciler.h"
 #include "pbs/core/transport.h"
 #include "pbs/estimator/tow.h"
 #include "pbs/gf/gf2m.h"
@@ -129,8 +130,8 @@ TEST(HotpathAlloc, CountingHooksAreLive) {
 }
 
 // One full PBS round cycle at the kernel level, exactly the per-unit work
-// PbsAlice::MakeRoundRequest, PbsBob::HandleRoundRequest, and
-// PbsAlice::HandleRoundReply perform: Alice bins and sketches her unit and
+// the pbs engines' round request, Bob's request handling and Alice's reply
+// handling perform: Alice bins and sketches her unit and
 // serializes the sketch; Bob deserializes, bins his side, merges, BCH
 // decodes the difference bitmap and replies with positions + XOR sums;
 // Alice recovers the distinct elements. After a warm-up round, repeating
@@ -231,10 +232,11 @@ TEST(HotpathAlloc, PbsRoundKernelCycleIsAllocationFree) {
   EXPECT_EQ(max_recovered, d);
 }
 
-// Endpoint level: after warm-up, PbsAlice's round-request encoding (the
-// buffer-reusing overload) is allocation-free across rounds.
+// Engine level: after warm-up, the pbs initiator's round-request encoding
+// into a caller-reused buffer is allocation-free across rounds.
 TEST(HotpathAlloc, EndpointRoundEncodeIsAllocationFree) {
-  PbsConfig config;
+  SchemeOptions options;
+  options.pbs.gamma = 1.0;  // d_used = 20 exactly.
   std::vector<uint64_t> elements;
   for (uint64_t e = 1; e <= 500; ++e) {
     // Odd multiplier: a bijection mod 2^32, so every signature is nonzero
@@ -242,16 +244,18 @@ TEST(HotpathAlloc, EndpointRoundEncodeIsAllocationFree) {
     elements.push_back((e * 0x9E3779B9u) & 0xFFFFFFFFu);
   }
 
-  PbsAlice alice(elements, config, /*seed=*/42);
-  alice.SetDifferenceEstimate(/*d_used=*/20);
+  const std::unique_ptr<ReconcileInitiator> alice =
+      SchemeRegistry::Instance()
+          .Create("pbs", options)
+          ->CreateInitiator(elements, /*d_hat=*/20, /*seed=*/42);
 
   std::vector<uint8_t> request;
-  alice.MakeRoundRequest(&request);  // Warm-up round.
-  alice.MakeRoundRequest(&request);
+  alice->NextRequest(&request);  // Warm-up round.
+  alice->NextRequest(&request);
   ASSERT_FALSE(request.empty());
 
   const std::uint64_t before = AllocCount();
-  for (int i = 0; i < 10; ++i) alice.MakeRoundRequest(&request);
+  for (int i = 0; i < 10; ++i) alice->NextRequest(&request);
   const std::uint64_t after = AllocCount();
   EXPECT_EQ(after - before, 0u)
       << "steady-state round encoding allocated " << (after - before)
@@ -318,12 +322,7 @@ constexpr size_t kProbePayloadBytes = 384;
 
 class ProbeInitiator : public ReconcileInitiator {
  public:
-  std::vector<uint8_t> NextRequest() override {
-    std::vector<uint8_t> out;
-    NextRequestInto(&out);
-    return out;
-  }
-  void NextRequestInto(std::vector<uint8_t>* out) override {
+  void NextRequest(std::vector<uint8_t>* out) override {
     ++round_;
     out->assign(kProbePayloadBytes, static_cast<uint8_t>(round_));
   }

@@ -1,38 +1,36 @@
-#include "pbs/core/pbs_endpoints.h"
+// The pbs scheme's initiator (Alice) and responder (Bob) engines, driven
+// exchange by exchange.
+
+#include "pbs/core/pbs_reconciler.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 
 #include "pbs/core/wire_session.h"
 #include "pbs/sim/workload.h"
+#include "scheme_test_util.h"
 
 namespace pbs {
 namespace {
 
+using test::MakePbsEngines;
+using test::Matches;
+
 TEST(Endpoints, ManualMessageLoop) {
   SetPair pair = GenerateSetPair(2000, 20, 32, 1);
   PbsConfig config;
-  PbsAlice alice(pair.a, config, 99);
-  PbsBob bob(pair.b, config, 99);
-  alice.SetDifferenceEstimate(20);
-  bob.SetDifferenceEstimate(20);
+  test::PbsEngines e = MakePbsEngines(pair.a, pair.b, config, 99, 20);
 
-  bool finished = false;
   int rounds = 0;
-  while (!finished && rounds < config.max_rounds) {
-    auto request = alice.MakeRoundRequest();
-    auto reply = bob.HandleRoundRequest(request);
-    finished = alice.HandleRoundReply(reply);
+  while (!e.alice->done() && rounds < config.max_rounds) {
+    ASSERT_TRUE(test::Exchange(e));
     ++rounds;
   }
-  ASSERT_TRUE(finished);
-  EXPECT_TRUE(alice.finished());
-  auto diff = alice.Difference();
-  std::sort(diff.begin(), diff.end());
-  std::sort(pair.truth_diff.begin(), pair.truth_diff.end());
-  EXPECT_EQ(diff, pair.truth_diff);
+  ASSERT_TRUE(e.alice->done());
+  const ReconcileOutcome outcome = e.alice->TakeOutcome();
+  EXPECT_TRUE(outcome.success);
+  EXPECT_TRUE(Matches(outcome.difference, pair.truth_diff));
 }
 
 TEST(Endpoints, EstimateExchangeAgreesOnPlan) {
@@ -56,53 +54,46 @@ TEST(Endpoints, EstimateExchangeAgreesOnPlan) {
 TEST(Endpoints, RoundRequestSizeMatchesPlan) {
   SetPair pair = GenerateSetPair(2000, 100, 32, 3);
   PbsConfig config;
-  PbsAlice alice(pair.a, config, 11);
-  alice.SetDifferenceEstimate(100);
-  const auto& p = alice.plan().params;
-  auto request = alice.MakeRoundRequest();
-  // Round 1: g sketches of t*m bits, no flag bits.
-  const size_t expected_bits =
-      static_cast<size_t>(p.g) * p.t * p.m;
-  EXPECT_EQ(request.size(), (expected_bits + 7) / 8);
+  test::PbsEngines e = MakePbsEngines(pair.a, pair.b, config, 11, 100);
+  const PbsPlanParams p = PlanFor(config, 100).params;
+  std::vector<uint8_t> request;
+  e.alice->NextRequest(&request);
+  // Round 1: the kind byte and 32-bit d_used, then g sketches of t*m bits
+  // and no flag bits.
+  const size_t expected_bits = static_cast<size_t>(p.g) * p.t * p.m;
+  EXPECT_EQ(request.size(), 1 + 4 + (expected_bits + 7) / 8);
 }
 
 TEST(Endpoints, FinishedFalseBeforeAnyRound) {
   PbsConfig config;
-  PbsAlice alice({1, 2, 3}, config, 1);
-  alice.SetDifferenceEstimate(1);
-  EXPECT_FALSE(alice.finished());
+  test::PbsEngines e = MakePbsEngines({1, 2, 3}, {1, 2, 3}, config, 1, 1);
+  EXPECT_FALSE(e.alice->done());
 }
 
 TEST(Endpoints, TimersAccumulate) {
   SetPair pair = GenerateSetPair(20000, 200, 32, 4);
   PbsConfig config;
-  PbsAlice alice(pair.a, config, 13);
-  PbsBob bob(pair.b, config, 13);
-  alice.SetDifferenceEstimate(200);
-  bob.SetDifferenceEstimate(200);
-  auto request = alice.MakeRoundRequest();
-  auto reply = bob.HandleRoundRequest(request);
-  alice.HandleRoundReply(reply);
-  EXPECT_GT(alice.timers().encode_seconds, 0.0);
-  EXPECT_GT(bob.timers().encode_seconds, 0.0);
-  EXPECT_GT(bob.timers().decode_seconds, 0.0);
+  config.max_rounds = 1;  // One exchange, then the outcome is ready.
+  test::PbsEngines e = MakePbsEngines(pair.a, pair.b, config, 13, 200);
+  ASSERT_TRUE(test::Exchange(e));
+  ASSERT_TRUE(e.alice->done());
+  EXPECT_GT(e.alice->TakeOutcome().encode_seconds, 0.0);
+  EXPECT_GT(e.bob->timers().encode_seconds, 0.0);
+  EXPECT_GT(e.bob->timers().decode_seconds, 0.0);
 }
 
 TEST(Endpoints, MismatchedSeedsFailGracefully) {
   // Different seeds -> different hash partitions -> protocol cannot settle
   // (but must not produce a false positive).
   SetPair pair = GenerateSetPair(1000, 10, 32, 5);
-  PbsConfig config;
-  PbsAlice alice(pair.a, config, 100);
-  PbsBob bob(pair.b, config, 200);
-  alice.SetDifferenceEstimate(10);
-  bob.SetDifferenceEstimate(10);
-  bool finished = false;
-  for (int r = 0; r < config.max_rounds && !finished; ++r) {
-    auto reply = bob.HandleRoundRequest(alice.MakeRoundRequest());
-    finished = alice.HandleRoundReply(reply);
+  SchemeOptions options;
+  options.pbs.gamma = 1.0;
+  const auto pbs = SchemeRegistry::Instance().Create("pbs", options);
+  test::PbsEngines e{pbs->CreateInitiator(pair.a, 10, 100),
+                     pbs->CreateResponder(pair.b, 10, 200)};
+  if (test::RunExchanges(e)) {
+    EXPECT_FALSE(e.alice->TakeOutcome().success);
   }
-  EXPECT_FALSE(finished);
 }
 
 }  // namespace

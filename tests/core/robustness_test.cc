@@ -1,18 +1,18 @@
-// Adversarial-input robustness: the endpoints must survive corrupted,
-// truncated, or garbage protocol messages without crashing, and must never
-// turn such input into a false "success".
+// Adversarial-input robustness: the engines must survive corrupted,
+// truncated, or garbage protocol messages without crashing, reject the
+// malformed ones, and never turn such input into a false "success".
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <functional>
 #include <vector>
 
+#include "pbs/common/bitio.h"
 #include "pbs/common/rng.h"
 #include "pbs/core/messages.h"
-#include "pbs/core/pbs_endpoints.h"
 #include "pbs/core/session_engine.h"
 #include "pbs/sim/workload.h"
+#include "scheme_test_util.h"
 
 namespace pbs {
 namespace {
@@ -34,23 +34,17 @@ TEST_P(MessageCorruption, CorruptedRoundReplyNeverFalselySucceeds) {
   SetPair pair = GenerateSetPair(1500, 20, 32, GetParam());
   PbsConfig config;
   config.max_rounds = 4;
-  PbsAlice alice(pair.a, config, 5);
-  PbsBob bob(pair.b, config, 5);
-  alice.SetDifferenceEstimate(20);
-  bob.SetDifferenceEstimate(20);
-
-  bool finished = false;
-  for (int round = 0; round < config.max_rounds && !finished; ++round) {
-    auto reply = bob.HandleRoundRequest(alice.MakeRoundRequest());
-    finished = alice.HandleRoundReply(Corrupt(std::move(reply), &rng));
-  }
-  if (finished) {
+  test::PbsEngines e = test::MakePbsEngines(pair.a, pair.b, config, 5, 20);
+  const bool accepted = test::RunExchanges(
+      e, [&](const std::vector<uint8_t>&, std::vector<uint8_t>* reply) {
+        *reply = Corrupt(std::move(*reply), &rng);
+      });
+  if (!accepted) return;  // Rejecting a corrupted reply fails closed.
+  const ReconcileOutcome outcome = e.alice->TakeOutcome();
+  if (outcome.success) {
     // Success claims survive corruption only if the recovered difference is
     // still checksum-consistent; it must then actually be correct.
-    auto diff = alice.Difference();
-    std::sort(diff.begin(), diff.end());
-    std::sort(pair.truth_diff.begin(), pair.truth_diff.end());
-    EXPECT_EQ(diff, pair.truth_diff);
+    EXPECT_TRUE(test::Matches(outcome.difference, pair.truth_diff));
   }
 }
 
@@ -58,43 +52,87 @@ TEST_P(MessageCorruption, CorruptedRequestDoesNotCrashBob) {
   Xoshiro256 rng(GetParam() ^ 0xB0B);
   SetPair pair = GenerateSetPair(1500, 20, 32, GetParam());
   PbsConfig config;
-  PbsAlice alice(pair.a, config, 7);
-  PbsBob bob(pair.b, config, 7);
-  alice.SetDifferenceEstimate(20);
-  bob.SetDifferenceEstimate(20);
-  auto request = Corrupt(alice.MakeRoundRequest(), &rng);
-  auto reply = bob.HandleRoundRequest(request);  // Must not crash.
-  (void)reply;
+  test::PbsEngines e = test::MakePbsEngines(pair.a, pair.b, config, 7, 20);
+  std::vector<uint8_t> request, reply;
+  e.alice->NextRequest(&request);
+  request = Corrupt(std::move(request), &rng);
+  e.bob->HandleRequest(request, &reply);  // Must not crash.
   SUCCEED();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MessageCorruption,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
 
-TEST(Robustness, TruncatedReplyHandled) {
+// A fresh d = 20 session and its round-1 request.
+struct RoundOne {
+  test::PbsEngines engines;
+  std::vector<uint8_t> request;
+};
+
+RoundOne MakeRoundOne() {
   SetPair pair = GenerateSetPair(1500, 20, 32, 77);
-  PbsConfig config;
-  PbsAlice alice(pair.a, config, 9);
-  PbsBob bob(pair.b, config, 9);
-  alice.SetDifferenceEstimate(20);
-  bob.SetDifferenceEstimate(20);
-  auto reply = bob.HandleRoundRequest(alice.MakeRoundRequest());
+  RoundOne r{test::MakePbsEngines(pair.a, pair.b, PbsConfig{}, 9, 20), {}};
+  r.engines.alice->NextRequest(&r.request);
+  return r;
+}
+
+TEST(Robustness, TruncatedReplyHandled) {
+  RoundOne r = MakeRoundOne();
+  std::vector<uint8_t> reply;
+  ASSERT_TRUE(r.engines.bob->HandleRequest(r.request, &reply));
   reply.resize(reply.size() / 2);
-  alice.HandleRoundReply(reply);  // Must not crash.
-  SUCCEED();
+  EXPECT_FALSE(r.engines.alice->HandleReply(reply));
+}
+
+TEST(Robustness, TrailingReplyByteRejected) {
+  RoundOne r = MakeRoundOne();
+  std::vector<uint8_t> reply;
+  ASSERT_TRUE(r.engines.bob->HandleRequest(r.request, &reply));
+  reply.push_back(0);
+  EXPECT_FALSE(r.engines.alice->HandleReply(reply));
+}
+
+TEST(Robustness, RoundRequestLengthIsExact) {
+  // The body is exactly the settled flags plus t*m bits per unit, padded
+  // to a byte: one byte less or more is malformed.
+  for (int delta : {-1, +1}) {
+    SCOPED_TRACE(delta);
+    RoundOne r = MakeRoundOne();
+    r.request.resize(r.request.size() + delta);
+    std::vector<uint8_t> reply;
+    EXPECT_FALSE(r.engines.bob->HandleRequest(r.request, &reply));
+  }
+}
+
+TEST(Robustness, ReplyCountAboveCapacityRejected) {
+  // d_used = 0 plans a single unit; its reply claims t + 1 decoded
+  // positions, one more than a t-capacity sketch can yield.
+  PbsConfig config;
+  test::PbsEngines e = test::MakePbsEngines({1, 2, 3}, {1, 2, 3}, config,
+                                            21, 0);
+  const PbsPlanParams p = PlanFor(config, 0).params;
+  ASSERT_EQ(p.g, 1);
+  const int count_bits = wire::CountBits(p.t);
+  ASSERT_LT(p.t, (1 << count_bits) - 1);
+  std::vector<uint8_t> request;
+  e.alice->NextRequest(&request);
+  BitWriter w;
+  w.WriteBit(false);
+  w.WriteBits(static_cast<uint64_t>(p.t + 1), count_bits);
+  for (int i = 0; i <= p.t; ++i) w.WriteBits(1, p.m);
+  for (int i = 0; i <= p.t; ++i) w.WriteBits(0, config.sig_bits);
+  w.WriteBits(0, config.sig_bits);
+  EXPECT_FALSE(e.alice->HandleReply(w.bytes()));
 }
 
 TEST(Robustness, EmptyMessagesHandled) {
   SetPair pair = GenerateSetPair(500, 5, 32, 78);
   PbsConfig config;
-  PbsAlice alice(pair.a, config, 11);
-  PbsBob bob(pair.b, config, 11);
-  alice.SetDifferenceEstimate(5);
-  bob.SetDifferenceEstimate(5);
-  alice.MakeRoundRequest();
-  alice.HandleRoundReply({});           // Empty reply.
-  bob.HandleRoundRequest({});           // Empty request.
-  SUCCEED();
+  test::PbsEngines e = test::MakePbsEngines(pair.a, pair.b, config, 11, 5);
+  std::vector<uint8_t> request, reply;
+  e.alice->NextRequest(&request);
+  EXPECT_FALSE(e.alice->HandleReply({}));           // Empty reply.
+  EXPECT_FALSE(e.bob->HandleRequest({}, &reply));   // Empty request.
 }
 
 // Runs one estimate session whose ESTIMATE_REQ payload passes through
@@ -159,15 +197,11 @@ TEST(Robustness, TrailingBytesAfterEstimateCountersRejected) {
 }
 
 TEST(Robustness, ZeroLengthSetsReconcile) {
-  PbsConfig config;
-  PbsAlice alice({}, config, 15);
-  PbsBob bob({}, config, 15);
-  alice.SetDifferenceEstimate(0);
-  bob.SetDifferenceEstimate(0);
-  const bool finished =
-      alice.HandleRoundReply(bob.HandleRoundRequest(alice.MakeRoundRequest()));
-  EXPECT_TRUE(finished);
-  EXPECT_TRUE(alice.Difference().empty());
+  const ReconcileOutcome outcome =
+      test::ReconcilePbs({}, {}, PbsConfig{}, 15, 0);
+  EXPECT_TRUE(outcome.success);
+  EXPECT_EQ(outcome.rounds, 1);
+  EXPECT_TRUE(outcome.difference.empty());
 }
 
 TEST(Robustness, OneSidedEmptySet) {
@@ -175,20 +209,10 @@ TEST(Robustness, OneSidedEmptySet) {
   ASSERT_TRUE(pair.b.empty());
   PbsConfig config;
   config.max_rounds = 5;
-  PbsAlice alice(pair.a, config, 17);
-  PbsBob bob(pair.b, config, 17);
-  alice.SetDifferenceEstimate(60);
-  bob.SetDifferenceEstimate(60);
-  bool finished = false;
-  for (int r = 0; r < config.max_rounds && !finished; ++r) {
-    finished = alice.HandleRoundReply(
-        bob.HandleRoundRequest(alice.MakeRoundRequest()));
-  }
-  ASSERT_TRUE(finished);
-  auto diff = alice.Difference();
-  std::sort(diff.begin(), diff.end());
-  std::sort(pair.truth_diff.begin(), pair.truth_diff.end());
-  EXPECT_EQ(diff, pair.truth_diff);
+  const ReconcileOutcome outcome =
+      test::ReconcilePbs(pair.a, pair.b, config, 17, 60);
+  ASSERT_TRUE(outcome.success);
+  EXPECT_TRUE(test::Matches(outcome.difference, pair.truth_diff));
 }
 
 }  // namespace

@@ -12,6 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "pbs/bch/power_sum_sketch.h"
+#include "pbs/common/bitio.h"
+#include "pbs/core/messages.h"
 #include "pbs/sim/workload.h"
 #include "scheme_test_util.h"
 
@@ -100,37 +103,121 @@ INSTANTIATE_TEST_SUITE_P(
       return n;
     });
 
+// One pbs run driven by hand, with every payload kept in exchange order
+// (request, reply, request, ...).
+struct RecordedRun {
+  ReconcileOutcome outcome;
+  std::vector<std::vector<uint8_t>> payloads;
+};
+
+RecordedRun RunRecorded(const SchemeOptions& options, const SetPair& pair,
+                        double d_hat, uint64_t seed) {
+  const auto pbs = SchemeRegistry::Instance().Create("pbs", options);
+  const auto alice = pbs->CreateInitiator(pair.a, d_hat, seed);
+  const auto bob = pbs->CreateResponder(pair.b, d_hat, seed);
+  RecordedRun run;
+  std::vector<uint8_t> request, reply;
+  while (!alice->done()) {
+    alice->NextRequest(&request);
+    if (!bob->HandleRequest(request, &reply) || !alice->HandleReply(reply)) {
+      ADD_FAILURE() << "payload rejected";
+      break;
+    }
+    run.payloads.push_back(request);
+    run.payloads.push_back(reply);
+  }
+  run.outcome = alice->TakeOutcome();
+  return run;
+}
+
+// Units of round 1 that failed to decode, and units active in round 2,
+// read off the round-1 reply and the round-2 request: failed units split
+// three ways, decoded ones ship a settled flag.
+struct RoundTwoShape {
+  int failed = 0;
+  int units = 0;
+};
+
+RoundTwoShape ReadRoundTwoShape(const RecordedRun& run, const PbsPlan& plan,
+                                int sig_bits) {
+  const PbsPlanParams& p = plan.params;
+  RoundTwoShape shape;
+  BitReader reply(run.payloads[1]);
+  int decoded = 0;
+  for (int u = 0; u < p.g; ++u) {
+    if (reply.ReadBit()) {
+      ++shape.failed;
+      continue;
+    }
+    ++decoded;
+    const int count = static_cast<int>(reply.ReadBits(wire::CountBits(p.t)));
+    for (int i = 0; i < count; ++i) reply.ReadBits(p.m + sig_bits);
+    reply.ReadBits(sig_bits);  // Checksum.
+  }
+  EXPECT_FALSE(reply.overflowed());
+  BitReader request(run.payloads[2]);
+  request.ReadBits(8);  // Kind byte.
+  int unsettled = 0;
+  for (int u = 0; u < decoded; ++u) unsettled += request.ReadBit() ? 0 : 1;
+  shape.units = 3 * shape.failed + unsettled;
+  return shape;
+}
+
 // PbsConfig::decode_threads is a local performance knob: for any thread
-// count the recovered difference, byte accounting, and round trajectory
-// must be identical to the serial run (the per-group parallel decode
-// stages results per unit and serializes them in canonical order). This
-// is the single- vs multi-threaded outcome-parity pin of the per-group
-// pool -- and, run under TSan (CI), its race detector.
+// count every request and reply payload, and so the recovered difference,
+// byte accounting, and round trajectory, must be identical to the serial
+// run (the responder decodes blocks of kDecodeBatch units into per-unit
+// slots and serializes them in canonical order). This is the single- vs
+// multi-threaded parity pin of the per-group pool -- and, run under TSan
+// (CI), its race detector.
 TEST(SchemeAdapterParity, PbsDecodeThreadsDoesNotChangeOutcome) {
-  // Two shapes: subset difference and two-sided difference (the general
-  // recovery path with elements on both sides).
-  const SetPair shapes[] = {GenerateSetPair(3000, 40, 32, 0x7EAD),
-                            GenerateTwoSidedPair(2000, 25, 35, 32, 0x51DE)};
-  auto& registry = SchemeRegistry::Instance();
-  for (const SetPair& pair : shapes) {
-    const double d_hat = static_cast<double>(pair.truth_diff.size()) + 1.3;
+  struct Shape {
+    SetPair pair;
+    double d_hat;
+    int max_rounds;
+  };
+  // Subset difference, two-sided difference (the general recovery path
+  // with elements on both sides), and an under-estimate (d-hat ~ d/4):
+  // round-1 decodes fail, the units split, and the later rounds decode a
+  // unit count that is not a multiple of kDecodeBatch through the pool.
+  const Shape shapes[] = {
+      {GenerateSetPair(3000, 40, 32, 0x7EAD), 40 + 1.3, 3},
+      {GenerateTwoSidedPair(2000, 25, 35, 32, 0x51DE), 60 + 1.3, 3},
+      {GenerateSetPair(4000, 200, 32, 0x0DD5), 50, 8},
+  };
+  for (const Shape& shape : shapes) {
     const uint64_t seed = 0xDEC0DE;
     SchemeOptions serial;
     serial.pbs.decode_threads = 1;
-    const ReconcileOutcome reference =
-        registry.Create("pbs", serial)->Reconcile(pair.a, pair.b, d_hat,
-                                                  seed);
-    ASSERT_TRUE(reference.success);
-    EXPECT_EQ(Sorted(reference.difference), Sorted(pair.truth_diff));
+    serial.pbs.max_rounds = shape.max_rounds;
+    const RecordedRun reference =
+        RunRecorded(serial, shape.pair, shape.d_hat, seed);
+    ASSERT_TRUE(reference.outcome.success);
+    EXPECT_EQ(Sorted(reference.outcome.difference),
+              Sorted(shape.pair.truth_diff));
+    if (shape.max_rounds > 3) {
+      const PbsPlan plan = PlanFor(
+          serial.pbs, InflateEstimate(shape.d_hat, serial.pbs.gamma));
+      ASSERT_GE(reference.payloads.size(), 4u);  // At least two rounds.
+      const RoundTwoShape round_two =
+          ReadRoundTwoShape(reference, plan, serial.sig_bits);
+      EXPECT_GT(round_two.failed, 0);
+      EXPECT_NE(round_two.units % PowerSumSketch::kDecodeBatch, 0)
+          << round_two.units;
+    }
     for (int threads : {2, 4, 0}) {  // 0 = one worker per hardware thread.
       SchemeOptions mt = serial;
       mt.pbs.decode_threads = threads;
-      const ReconcileOutcome parallel =
-          registry.Create("pbs", mt)->Reconcile(pair.a, pair.b, d_hat, seed);
-      EXPECT_EQ(parallel.success, reference.success) << threads;
-      EXPECT_EQ(parallel.data_bytes, reference.data_bytes) << threads;
-      EXPECT_EQ(parallel.rounds, reference.rounds) << threads;
-      EXPECT_EQ(Sorted(parallel.difference), Sorted(reference.difference))
+      const RecordedRun parallel =
+          RunRecorded(mt, shape.pair, shape.d_hat, seed);
+      EXPECT_EQ(parallel.payloads, reference.payloads) << threads;
+      EXPECT_EQ(parallel.outcome.success, reference.outcome.success)
+          << threads;
+      EXPECT_EQ(parallel.outcome.data_bytes, reference.outcome.data_bytes)
+          << threads;
+      EXPECT_EQ(parallel.outcome.rounds, reference.outcome.rounds) << threads;
+      EXPECT_EQ(Sorted(parallel.outcome.difference),
+                Sorted(reference.outcome.difference))
           << threads;
     }
   }

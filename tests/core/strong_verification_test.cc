@@ -3,10 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <unordered_set>
 
-#include "pbs/core/pbs_endpoints.h"
 #include "pbs/sim/workload.h"
 #include "scheme_test_util.h"
 
@@ -28,64 +26,77 @@ TEST(StrongVerification, PassesOnCorrectReconciliation) {
   EXPECT_EQ(result.data_bytes, baseline.data_bytes + 24);
 }
 
+// The digest request is the kind byte alone.
+bool IsDigestRequest(const std::vector<uint8_t>& request) {
+  return request == std::vector<uint8_t>{2};
+}
+
+// Runs until every unit settles, whatever the round count.
+PbsConfig Unbounded() {
+  PbsConfig config;
+  config.max_rounds = 64;
+  return config;
+}
+
+test::PbsEngines StrongEngines(const SetPair& pair, uint64_t seed, int d) {
+  PbsConfig config = Unbounded();
+  config.strong_verification = true;
+  return test::MakePbsEngines(pair.a, pair.b, config, seed, d);
+}
+
 TEST(StrongVerification, DigestVerifiesManually) {
   SetPair pair = GenerateSetPair(2000, 25, 32, 2);
-  PbsConfig config;
-  PbsAlice alice(pair.a, config, 9);
-  PbsBob bob(pair.b, config, 9);
-  alice.SetDifferenceEstimate(25);
-  bob.SetDifferenceEstimate(25);
-  bool finished = false;
-  while (!finished) {
-    finished = alice.HandleRoundReply(
-        bob.HandleRoundRequest(alice.MakeRoundRequest()));
-  }
-  EXPECT_TRUE(alice.VerifyStrongDigest(bob.MakeStrongDigest()));
+  test::PbsEngines e = StrongEngines(pair, 9, 25);
+  bool digest_seen = false;
+  ASSERT_TRUE(test::RunExchanges(
+      e, [&](const std::vector<uint8_t>& request, std::vector<uint8_t>*) {
+        digest_seen = digest_seen || IsDigestRequest(request);
+      }));
+  EXPECT_TRUE(digest_seen);
+  EXPECT_TRUE(e.alice->TakeOutcome().success);
 }
 
 TEST(StrongVerification, RejectsTamperedDigest) {
   SetPair pair = GenerateSetPair(2000, 25, 32, 3);
-  PbsConfig config;
-  PbsAlice alice(pair.a, config, 11);
-  PbsBob bob(pair.b, config, 11);
-  alice.SetDifferenceEstimate(25);
-  bob.SetDifferenceEstimate(25);
-  bool finished = false;
-  while (!finished) {
-    finished = alice.HandleRoundReply(
-        bob.HandleRoundRequest(alice.MakeRoundRequest()));
-  }
-  auto digest = bob.MakeStrongDigest();
-  digest[5] ^= 0x40;
-  EXPECT_FALSE(alice.VerifyStrongDigest(digest));
+  test::PbsEngines e = StrongEngines(pair, 11, 25);
+  ASSERT_TRUE(test::RunExchanges(
+      e, [](const std::vector<uint8_t>& request, std::vector<uint8_t>* reply) {
+        if (IsDigestRequest(request)) (*reply)[5] ^= 0x40;
+      }));
+  EXPECT_FALSE(e.alice->TakeOutcome().success);
 }
 
 TEST(StrongVerification, RejectsTruncatedDigest) {
   SetPair pair = GenerateSetPair(1000, 5, 32, 4);
-  PbsConfig config;
-  PbsAlice alice(pair.a, config, 13);
-  PbsBob bob(pair.b, config, 13);
-  alice.SetDifferenceEstimate(5);
-  bob.SetDifferenceEstimate(5);
-  alice.HandleRoundReply(bob.HandleRoundRequest(alice.MakeRoundRequest()));
-  auto digest = bob.MakeStrongDigest();
-  digest.resize(10);
-  EXPECT_FALSE(alice.VerifyStrongDigest(digest));
+  test::PbsEngines e = StrongEngines(pair, 13, 5);
+  bool truncated = false;
+  EXPECT_FALSE(test::RunExchanges(
+      e, [&](const std::vector<uint8_t>& request, std::vector<uint8_t>* reply) {
+        if (!IsDigestRequest(request)) return;
+        reply->resize(10);
+        truncated = true;
+      }));
+  EXPECT_TRUE(truncated);
+}
+
+// A_only = the recovered difference's elements Alice holds (A \ B), which
+// she ships to Bob so he can form A u B as well.
+std::vector<uint64_t> ElementsOnlyInA(const std::vector<uint64_t>& a,
+                                      const std::vector<uint64_t>& diff) {
+  const std::unordered_set<uint64_t> in_a(a.begin(), a.end());
+  std::vector<uint64_t> only_in_a;
+  for (uint64_t e : diff) {
+    if (in_a.count(e)) only_in_a.push_back(e);
+  }
+  return only_in_a;
 }
 
 TEST(Bidirectional, ElementsOnlyInASubsetOfDifference) {
   SetPair pair = GenerateTwoSidedPair(2500, 30, 20, 32, 5);
-  PbsConfig config;
-  PbsAlice alice(pair.a, config, 17);
-  PbsBob bob(pair.b, config, 17);
-  alice.SetDifferenceEstimate(70);
-  bob.SetDifferenceEstimate(70);
-  bool finished = false;
-  while (!finished) {
-    finished = alice.HandleRoundReply(
-        bob.HandleRoundRequest(alice.MakeRoundRequest()));
-  }
-  auto a_only = alice.ElementsOnlyInA();
+  const ReconcileOutcome outcome =
+      test::ReconcilePbs(pair.a, pair.b, Unbounded(), 17, 70);
+  ASSERT_TRUE(outcome.success);
+  auto a_only = ElementsOnlyInA(pair.a, outcome.difference);
   EXPECT_EQ(a_only.size(), 30u);
   std::unordered_set<uint64_t> in_a(pair.a.begin(), pair.a.end());
   std::unordered_set<uint64_t> in_b(pair.b.begin(), pair.b.end());
@@ -99,24 +110,19 @@ TEST(Bidirectional, BobFormsUnionFromShippedElements) {
   // The full Section-1.1 flow: Alice learns A triangle B, ships A \ B to
   // Bob; both now hold A u B.
   SetPair pair = GenerateTwoSidedPair(1500, 25, 15, 32, 6);
-  PbsConfig config;
-  PbsAlice alice(pair.a, config, 19);
-  PbsBob bob(pair.b, config, 19);
-  alice.SetDifferenceEstimate(56);
-  bob.SetDifferenceEstimate(56);
-  bool finished = false;
-  while (!finished) {
-    finished = alice.HandleRoundReply(
-        bob.HandleRoundRequest(alice.MakeRoundRequest()));
-  }
+  const ReconcileOutcome outcome =
+      test::ReconcilePbs(pair.a, pair.b, Unbounded(), 19, 56);
+  ASSERT_TRUE(outcome.success);
 
   std::unordered_set<uint64_t> alice_union(pair.a.begin(), pair.a.end());
   std::unordered_set<uint64_t> in_a(pair.a.begin(), pair.a.end());
-  for (uint64_t e : alice.Difference()) {
+  for (uint64_t e : outcome.difference) {
     if (!in_a.count(e)) alice_union.insert(e);  // B-only elements.
   }
   std::unordered_set<uint64_t> bob_union(pair.b.begin(), pair.b.end());
-  for (uint64_t e : alice.ElementsOnlyInA()) bob_union.insert(e);
+  for (uint64_t e : ElementsOnlyInA(pair.a, outcome.difference)) {
+    bob_union.insert(e);
+  }
 
   std::unordered_set<uint64_t> expected(pair.a.begin(), pair.a.end());
   for (uint64_t e : pair.b) expected.insert(e);

@@ -2,34 +2,36 @@
 
 #include <stdexcept>
 
-#include "pbs/core/pbs_endpoints.h"
+#include "pbs/core/set_reconciler.h"
+#include "scheme_test_util.h"
 
 namespace pbs {
 namespace {
 
+std::unique_ptr<SetReconciler> Pbs(int sig_bits) {
+  SchemeOptions options;
+  options.sig_bits = sig_bits;
+  return SchemeRegistry::Instance().Create("pbs", options);
+}
+
 TEST(Validation, ZeroElementRejected) {
-  PbsConfig config;
-  EXPECT_THROW(PbsAlice({1, 0, 3}, config, 1), std::invalid_argument);
-  EXPECT_THROW(PbsBob({0}, config, 1), std::invalid_argument);
+  const auto pbs = Pbs(32);
+  EXPECT_THROW(pbs->CreateInitiator({1, 0, 3}, 1, 1), std::invalid_argument);
+  EXPECT_THROW(pbs->CreateResponder({0}, 1, 1), std::invalid_argument);
 }
 
 TEST(Validation, OverWidthElementRejected) {
-  PbsConfig config;
-  config.sig_bits = 32;
-  EXPECT_THROW(PbsAlice({uint64_t{1} << 33}, config, 1),
+  EXPECT_THROW(Pbs(32)->CreateInitiator({uint64_t{1} << 33}, 1, 1),
                std::invalid_argument);
 }
 
 TEST(Validation, ExactWidthElementAccepted) {
-  PbsConfig config;
-  config.sig_bits = 32;
-  EXPECT_NO_THROW(PbsAlice({0xFFFFFFFFull}, config, 1));
+  EXPECT_NO_THROW(Pbs(32)->CreateInitiator({0xFFFFFFFFull}, 1, 1));
 }
 
 TEST(Validation, WideSignaturesAccepted) {
-  PbsConfig config;
-  config.sig_bits = 63;
-  EXPECT_NO_THROW(PbsBob({(uint64_t{1} << 63) - 1}, config, 1));
+  EXPECT_NO_THROW(
+      Pbs(63)->CreateResponder({(uint64_t{1} << 63) - 1}, 1, 1));
 }
 
 TEST(Validation, SubuniverseCheckTogglePreservesCorrectness) {
@@ -42,17 +44,9 @@ TEST(Validation, SubuniverseCheckTogglePreservesCorrectness) {
   std::vector<uint64_t> a, b;
   for (uint64_t i = 1; i <= 3000; ++i) a.push_back(i * 2654435761u % 0xFFFFFFFF + 1);
   b.assign(a.begin() + 50, a.end());
-  PbsAlice alice(a, off, 3);
-  PbsBob bob(b, off, 3);
-  alice.SetDifferenceEstimate(50);
-  bob.SetDifferenceEstimate(50);
-  bool finished = false;
-  for (int r = 0; r < off.max_rounds && !finished; ++r) {
-    finished = alice.HandleRoundReply(
-        bob.HandleRoundRequest(alice.MakeRoundRequest()));
-  }
-  EXPECT_TRUE(finished);
-  EXPECT_EQ(alice.Difference().size(), 50u);
+  const ReconcileOutcome outcome = test::ReconcilePbs(a, b, off, 3, 50);
+  EXPECT_TRUE(outcome.success);
+  EXPECT_EQ(outcome.difference.size(), 50u);
 }
 
 }  // namespace

@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "pbs/core/messages.h"
-#include "pbs/core/pbs_endpoints.h"
 #include "pbs/core/wire_session.h"
 #include "pbs/sim/workload.h"
+#include "scheme_test_util.h"
 
 namespace pbs {
 namespace {
@@ -23,27 +23,31 @@ TEST(WireFormat, CountBitsWidths) {
   EXPECT_EQ(wire::CountBits(16), 5);
 }
 
+// The pbs round-request header: the kind byte, plus the 32-bit d_used on
+// round 1 (docs/WIRE_FORMAT.md, "pbs payloads").
+constexpr size_t kRoundOneHeaderBytes = 1 + 4;
+
 TEST(WireFormat, RoundOneRequestIsExactlyGSketches) {
   SetPair pair = GenerateSetPair(2000, 100, 32, 1);
   PbsConfig config;
-  PbsAlice alice(pair.a, config, 7);
-  alice.SetDifferenceEstimate(100);
-  const auto& p = alice.plan().params;
-  const auto request = alice.MakeRoundRequest();
+  test::PbsEngines e = test::MakePbsEngines(pair.a, pair.b, config, 7, 100);
+  const PbsPlanParams p = PlanFor(config, 100).params;
+  std::vector<uint8_t> request;
+  e.alice->NextRequest(&request);
   EXPECT_EQ(request.size(),
-            (static_cast<size_t>(p.g) * p.t * p.m + 7) / 8);
+            kRoundOneHeaderBytes +
+                (static_cast<size_t>(p.g) * p.t * p.m + 7) / 8);
 }
 
 TEST(WireFormat, RoundOneReplyLayout) {
   // Reply = per unit: 1 fail bit + count + positions + xors + checksum.
   SetPair pair = GenerateSetPair(2000, 0, 32, 2);  // No differences.
   PbsConfig config;
-  PbsAlice alice(pair.a, config, 9);
-  PbsBob bob(pair.b, config, 9);
-  alice.SetDifferenceEstimate(0);
-  bob.SetDifferenceEstimate(0);
-  const auto& p = alice.plan().params;
-  const auto reply = bob.HandleRoundRequest(alice.MakeRoundRequest());
+  test::PbsEngines e = test::MakePbsEngines(pair.a, pair.b, config, 9, 0);
+  const PbsPlanParams p = PlanFor(config, 0).params;
+  std::vector<uint8_t> request, reply;
+  e.alice->NextRequest(&request);
+  ASSERT_TRUE(e.bob->HandleRequest(request, &reply));
   // d=0 -> g=1 unit, zero decoded positions:
   // 1 + count_bits + 0 + 32 bits.
   const size_t expected_bits = 1 + wire::CountBits(p.t) + 32;
@@ -65,9 +69,12 @@ TEST(WireFormat, EstimateRequestSizeMatchesFormula) {
 }
 
 TEST(WireFormat, StrongDigestIsTwentyFourBytes) {
-  PbsConfig config;
-  PbsBob bob({1, 2, 3}, config, 15);
-  EXPECT_EQ(bob.MakeStrongDigest().size(), 24u);
+  test::PbsEngines e =
+      test::MakePbsEngines({1, 2, 3}, {1, 2, 3}, PbsConfig{}, 15, 0);
+  const std::vector<uint8_t> digest_request = {2};  // Kind byte only.
+  std::vector<uint8_t> digest;
+  ASSERT_TRUE(e.bob->HandleRequest(digest_request, &digest));
+  EXPECT_EQ(digest.size(), 24u);
 }
 
 TEST(WireFormat, PaperFormulaOneFirstRoundBytes) {
@@ -77,16 +84,16 @@ TEST(WireFormat, PaperFormulaOneFirstRoundBytes) {
   // and an exact-d instance at the paper's parameters.
   SetPair pair = GenerateSetPair(20000, 1000, 32, 5);
   PbsConfig config;
-  PbsAlice alice(pair.a, config, 17);
-  PbsBob bob(pair.b, config, 17);
-  alice.SetDifferenceEstimate(1000);
-  bob.SetDifferenceEstimate(1000);
-  const auto& p = alice.plan().params;
+  test::PbsEngines e =
+      test::MakePbsEngines(pair.a, pair.b, config, 17, 1000);
+  const PbsPlanParams p = PlanFor(config, 1000).params;
   ASSERT_EQ(p.n, 127);
   ASSERT_EQ(p.t, 13);
-  const auto request = alice.MakeRoundRequest();
-  const auto reply = bob.HandleRoundRequest(request);
-  const double total_bits = 8.0 * (request.size() + reply.size());
+  std::vector<uint8_t> request, reply;
+  e.alice->NextRequest(&request);
+  ASSERT_TRUE(e.bob->HandleRequest(request, &reply));
+  const double total_bits =
+      8.0 * (request.size() - kRoundOneHeaderBytes + reply.size());
   // Paper formula totalled over g groups with sum(delta_i) = d:
   // g*(t*7 + 32) + d*(7 + 32) bits = 200*123 + 1000*39 = 63.6 kbit.
   const double formula_bits = p.g * (p.t * 7.0 + 32.0) + 1000.0 * (7 + 32);

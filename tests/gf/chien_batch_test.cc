@@ -110,7 +110,7 @@ TEST(ChienBatchDiff, EmptyBatchIsANoOp) {
 }
 
 TEST(ChienBatchDiff, FullCapacityLocatorsAcrossEightGroups) {
-  // The PbsBob shape the tentpole targets: eight groups, each with a
+  // The pbs responder's decode-block shape: eight groups, each with a
   // full-capacity degree-t locator of planted distinct roots.
   const GF2m field(11);  // n = 2047.
   const int t = 16;
