@@ -9,7 +9,8 @@
 //   ws:    reused buffers + pbs::Workspace scratch (BuildInto/ToSketchInto/
 //          DecodeInto), the production hot path, allocation-free in steady
 //          state (tests/core/hotpath_alloc_test.cc).
-// Also isolates the BCH decode kernel and the PGZ reference solver.
+// Also isolates the BCH decode kernel and the PGZ reference solver, and
+// times one Section 5.1 plan (PlanFor) per d_used.
 //
 // Output: one table row per (kernel, path, n, t, d, threads) with ns/op
 // and op/s; JSON via PBS_BENCH_JSON (see docs/BENCHMARKS.md). The
@@ -169,6 +170,22 @@ int main_impl() {
       const double ns = TimeNs(*row.op, budget);
       rec.AddRow({row.kernel, row.path, std::to_string(n),
                   std::to_string(c.t), std::to_string(c.d), "1",
+                  pbs::FormatDouble(ns, 1), pbs::bench::FormatMops(ns)});
+    }
+  }
+
+  // ---- Section 5.1 planning: one PlanFor call. ----
+  // Both pbs engines plan when a session starts, at the d_used of that
+  // attempt; the rows sit on the sharded retry ladder (d_used x4 per
+  // rung). n and t are the chosen cell; best of TimeNs' repetitions.
+  {
+    const pbs::PbsConfig config;
+    for (int d : {6, 89, 1414, 5653}) {
+      const pbs::PbsPlanParams plan = pbs::PlanFor(config, d).params;
+      const double ns =
+          TimeNs([&] { (void)pbs::PlanFor(config, d); }, budget);
+      rec.AddRow({"plan_for", "optimizer", std::to_string(plan.n),
+                  std::to_string(plan.t), std::to_string(d), "1",
                   pbs::FormatDouble(ns, 1), pbs::bench::FormatMops(ns)});
     }
   }

@@ -413,9 +413,7 @@ class PinSketchWpInitiator : public ReconcileInitiator {
         d_used_(InflateEstimate(d_hat, config.gamma)) {
     const PbsPlan plan = PlanFor(config_, d_used_);
     t_ = std::max(plan.params.t, 1);
-    g_ = d_used_ <= 0 ? 1
-                      : static_cast<uint32_t>((d_used_ + config_.delta - 1) /
-                                              config_.delta);
+    g_ = static_cast<uint32_t>(plan.params.g);
     count_bits_ = wire::CountBits(t_);
     units_.resize(g_);
     for (uint32_t i = 0; i < g_; ++i) {

@@ -21,7 +21,7 @@ PbsPlan PlanFor(const PbsConfig& config, int d_used) {
 
   // No feasible cell: take the most forgiving corner of the range so the
   // protocol still runs; correctness is guaranteed by the checksum loop.
-  plan.params.g = d_used <= 0 ? 1 : (d_used + config.delta - 1) / config.delta;
+  plan.params.g = GroupCount(d_used, config.delta);
   plan.params.m = options.max_m;
   plan.params.n = (1 << options.max_m) - 1;
   plan.params.t =

@@ -53,11 +53,19 @@ struct PbsPlanParams {
   double bits_per_group = 0.0;  ///< First-round average, formula (1).
 };
 
-/// Evaluates the whole (n, t) grid (for Table 1).
+/// Number of groups for d distinct elements at delta per group:
+/// ceil(d / delta), and 1 when d <= 0.
+int GroupCount(int d, int delta);
+
+/// Evaluates the whole (n, t) grid (for Table 1), in (m, t) order.
 std::vector<OptimizerCell> EvaluateGrid(const OptimizerOptions& options);
 
-/// Picks the feasible cell minimizing communication. nullopt if no cell in
-/// the search range meets p0.
+/// Picks the feasible cell minimizing communication; among cells of equal
+/// communication, the highest lower bound, then the earliest in (m, t)
+/// order. nullopt if no cell in the search range meets p0. Cells are
+/// evaluated cheapest first and the scan stops at the first communication
+/// class holding a feasible cell, so the result equals the argmin over
+/// EvaluateGrid at a fraction of its cost.
 std::optional<PbsPlanParams> OptimizeParams(const OptimizerOptions& options);
 
 }  // namespace pbs

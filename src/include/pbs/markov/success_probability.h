@@ -71,6 +71,62 @@ double SuccessLowerBoundCalibrated(int n, int t, int r, int d, int g,
                                    double base_penalty = kAlphaBasePenalty,
                                    double split_penalty = kAlphaSplitPenalty);
 
+/// The split-aware model's tables for many (n, t) cells at one (r, d, g),
+/// as one planning call evaluates them: the Binomial(d, 1/g) pmf and its
+/// running sum, the log-factorials, the multinomial split weights
+/// 3^-x x! / (x1! x2! x3!), and, per bitmap size n, the column
+/// (M^k)(x, 0) of every round count k <= r. Each cell fills
+/// S_k(x) = Pr[x ->k 0] bottom-up, level k from level k - 1, in the
+/// summation order the model defines. Every entry is the double the
+/// one-shot functions above compute (they are built on this class), so
+/// sharing the tables changes cost, never values. Not thread-safe: one
+/// context per call.
+class SplitModelContext {
+ public:
+  /// `t_max` is the largest t the caller will ask for. A bitmap size's
+  /// transition matrix is built for the first t asked, then once more for
+  /// max(t, t_max) when a larger t comes; every t below its size shares it.
+  SplitModelContext(int r, int d, int g, int t_max = 0);
+
+  /// AlphaWithSplits(n, t, r, d, g).
+  double AlphaWithSplits(int n, int t);
+
+  /// AlphaCalibrated(n, t, r, d, g, base_penalty, split_penalty).
+  double AlphaCalibrated(int n, int t, double base_penalty,
+                         double split_penalty);
+
+  /// SingleGroupSuccessWithSplits(n, t, r, x).
+  double SingleGroupSuccess(int n, int t, int x);
+
+ private:
+  /// (M^k)(x, 0) for k = 0..r, x < dim, stored at col0[k * dim + x].
+  struct PowerColumns {
+    int n = 0;
+    int dim = 0;
+    std::vector<double> col0;
+  };
+
+  double Pmf(int x);
+  double TrackedMass(int x_max);
+  int TailCutoff(int t);
+  const PowerColumns& ColumnsFor(int n, int t);
+  const double* WeightRow(int x);
+  /// S_r(x) for x = 0..x_max (x_max >= 0) of cell (n, t).
+  const double* SuccessRow(int n, int t, int x_max);
+
+  int r_;
+  int d_;
+  double p_;
+  int t_max_;
+  std::vector<double> pmf_;       ///< BinomialPmf(d, p, x).
+  std::vector<double> tracked_;   ///< pmf_[0] + ... + pmf_[x], in order.
+  std::vector<double> log_fact_;  ///< log x!.
+  std::vector<std::vector<double>> weights_;  ///< Row x, (x1, x2) order.
+  std::vector<PowerColumns> powers_;
+  std::vector<double> level_;     ///< S_k(.), the level being filled.
+  std::vector<double> prev_level_;
+};
+
 }  // namespace pbs
 
 #endif  // PBS_MARKOV_SUCCESS_PROBABILITY_H_

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "pbs/core/params.h"
+
 namespace pbs {
 namespace {
 
@@ -109,6 +116,150 @@ TEST(Optimizer, FeasibleCellsRespectBound) {
   options.d = 1000;
   for (const auto& cell : EvaluateGrid(options)) {
     EXPECT_EQ(cell.feasible, cell.lower_bound >= options.p0);
+  }
+}
+
+// The pre-scan rule: the cheapest feasible cell of the full grid; equal
+// bits go to the strictly higher bound, then to the earlier (m, t).
+// Feasibility is re-derived at `p0`: the bounds do not depend on it, so
+// one grid serves every p0.
+std::optional<OptimizerCell> FullGridArgmin(
+    const std::vector<OptimizerCell>& grid, double p0) {
+  std::optional<OptimizerCell> best;
+  for (const auto& cell : grid) {
+    if (!(cell.lower_bound >= p0)) continue;
+    if (!best || cell.variable_bits < best->variable_bits ||
+        (cell.variable_bits == best->variable_bits &&
+         cell.lower_bound > best->lower_bound)) {
+      best = cell;
+    }
+  }
+  return best;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Checks OptimizeParams against the full grid at each p0.
+void ExpectScanMatchesGrid(OptimizerOptions options,
+                           const std::vector<double>& p0s) {
+  const std::vector<OptimizerCell> grid = EvaluateGrid(options);
+  for (double p0 : p0s) {
+    options.p0 = p0;
+    const auto want = FullGridArgmin(grid, p0);
+    const auto got = OptimizeParams(options);
+    const std::string where = "d=" + std::to_string(options.d) +
+                              " r=" + std::to_string(options.r) +
+                              " delta=" + std::to_string(options.delta) +
+                              " p0=" + std::to_string(p0);
+    ASSERT_EQ(got.has_value(), want.has_value()) << where;
+    if (!want) continue;
+    EXPECT_EQ(got->n, want->n) << where;
+    EXPECT_EQ(got->t, want->t) << where;
+    EXPECT_EQ(got->g, GroupCount(options.d, options.delta)) << where;
+    EXPECT_TRUE(SameBits(got->lower_bound, want->lower_bound)) << where;
+    EXPECT_EQ(got->bits_per_group, want->total_bits) << where;
+  }
+}
+
+TEST(Optimizer, CostOrderedScanMatchesFullGridArgmin) {
+  const std::vector<double> p0s = {0.95, 0.99, 0.999};
+  std::vector<int> ds;
+  for (int d = 0; d <= 64; ++d) ds.push_back(d);
+  for (double d = 90; d <= 60000; d *= 2.3) ds.push_back(static_cast<int>(d));
+  ds.push_back(60000);
+  int config = 0;
+  for (int r = 1; r <= 4; ++r) {
+    for (int delta : {3, 5, 10}) {
+      // Every config sees the geometric tail; the dense 0..64 head is
+      // dealt out across configs, a different seventh to each.
+      for (size_t i = 0; i < ds.size(); ++i) {
+        if (ds[i] <= 64 && (i + config) % 7 != 0) continue;
+        OptimizerOptions options;
+        options.d = ds[i];
+        options.r = r;
+        options.delta = delta;
+        ExpectScanMatchesGrid(options, p0s);
+      }
+      ++config;
+    }
+  }
+  // Section 5.2's widened one-round range.
+  for (int d : {1, 10, 100, 1000, 5000}) {
+    OptimizerOptions options;
+    options.d = d;
+    options.r = 1;
+    options.max_m = 22;
+    options.t_high = 5.0;
+    ExpectScanMatchesGrid(options, {0.99});
+  }
+  // No feasible cell at all: every cell is evaluated, and nothing wins.
+  OptimizerOptions hopeless;
+  hopeless.d = 1000;
+  hopeless.r = 1;
+  ASSERT_FALSE(FullGridArgmin(EvaluateGrid(hopeless), 0.99).has_value());
+  ExpectScanMatchesGrid(hopeless, {0.99});
+}
+
+// Recorded from the full-grid optimizer over the recursive split model;
+// the lower bound is compared bit for bit.
+TEST(Optimizer, PlansMatchRecordedValues) {
+  struct Recorded {
+    int d;
+    int g;
+    int n;
+    int t;
+    double lower_bound;
+  };
+  const Recorded recorded[] = {
+      {0, 1, 63, 8, 0x1p+0},
+      {1, 1, 63, 8, 0x1p+0},
+      {6, 2, 63, 8, 0x1.fff3a2ef195f8p-1},
+      {23, 5, 63, 8, 0x1.fae1f913b3c26p-1},
+      {89, 18, 63, 12, 0x1.fc7596105b6d8p-1},
+      {354, 71, 127, 12, 0x1.fcf34912aedccp-1},
+      {1000, 200, 127, 13, 0x1.fb0008f5ee67ap-1},
+      {1414, 283, 127, 14, 0x1.fb60aec3ec1aap-1},
+      {5653, 1131, 1023, 10, 0x1.fc4b201222a98p-1},
+      {22610, 4522, 511, 13, 0x1.fb9372683fe54p-1},
+  };
+  for (const Recorded& want : recorded) {
+    OptimizerOptions options;
+    options.d = want.d;
+    const auto plan = OptimizeParams(options);
+    ASSERT_TRUE(plan.has_value()) << "d=" << want.d;
+    EXPECT_EQ(plan->g, want.g) << "d=" << want.d;
+    EXPECT_EQ(plan->n, want.n) << "d=" << want.d;
+    EXPECT_EQ(plan->t, want.t) << "d=" << want.d;
+    EXPECT_EQ(plan->lower_bound, want.lower_bound) << "d=" << want.d;
+  }
+}
+
+TEST(Optimizer, ConcurrentPlansAgree) {
+  // Shard threads plan at the same time; each call owns its tables.
+  const int ds[] = {6, 89, 354, 1414, 5653};
+  const PbsConfig config;
+  std::vector<PbsPlan> serial;
+  for (int d : ds) serial.push_back(PlanFor(config, d));
+  constexpr int kThreads = 4;
+  std::vector<std::vector<PbsPlan>> plans(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      for (int round = 0; round < 3; ++round) {
+        for (int d : ds) plans[i].push_back(PlanFor(config, d));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& got : plans) {
+    ASSERT_EQ(got.size(), 3 * serial.size());
+    for (size_t k = 0; k < got.size(); ++k) {
+      const PbsPlan& want = serial[k % serial.size()];
+      EXPECT_EQ(got[k].params.g, want.params.g);
+      EXPECT_EQ(got[k].params.n, want.params.n);
+      EXPECT_EQ(got[k].params.t, want.params.t);
+      EXPECT_TRUE(SameBits(got[k].params.lower_bound, want.params.lower_bound));
+    }
   }
 }
 

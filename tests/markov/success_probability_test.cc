@@ -94,6 +94,62 @@ TEST(OverallBound, PaperSubGroupSplitProbability) {
   EXPECT_LT(3 * tail, 1e-5);
 }
 
+// Values recorded from the recursive, memoized split model the bottom-up
+// tables replaced. Compared exactly: the optimizer's plans ride on these
+// doubles, so one ULP of drift is a regression.
+TEST(SuccessProbability, BoundsMatchRecordedValues) {
+  // Single group: split path, r = 0, x far above t.
+  EXPECT_EQ(SingleGroupSuccessWithSplits(127, 13, 3, 14),
+            0x1.feeec842a2203p-1);
+  EXPECT_EQ(SingleGroupSuccessWithSplits(127, 13, 0, 3), 0.0);
+  EXPECT_EQ(SingleGroupSuccessWithSplits(255, 8, 3, 40),
+            0x1.15aa661d8b6b8p-1);
+  EXPECT_EQ(SingleGroupSuccessWithSplits(63, 10, 2, 12),
+            0x1.666e0d4cc2fdep-1);
+  EXPECT_EQ(SingleGroupSuccessWithSplits(2047, 16, 4, 30),
+            0x1.fffff6f6c9c2p-1);
+  // Alpha: the paper's cell, d < t with g = 1, r = 0, the Binomial tail
+  // cut off at t + 200 with most of its mass beyond.
+  EXPECT_EQ(AlphaWithSplits(127, 13, 3, 1000, 200), 0x1.fffedb416fb1ap-1);
+  EXPECT_EQ(AlphaWithSplits(63, 8, 2, 6, 2), 0x1.ff7ebe297705p-1);
+  EXPECT_EQ(AlphaWithSplits(127, 13, 3, 5, 1), 0x1.ffff546551688p-1);
+  EXPECT_EQ(AlphaWithSplits(127, 12, 0, 23, 5), 0x1.82db34012b252p-8);
+  EXPECT_EQ(AlphaWithSplits(2047, 17, 4, 100, 1), 0x1.fc911042b61efp-1);
+  EXPECT_EQ(AlphaWithSplits(63, 8, 3, 1000, 4), 0x1.4fc54de67e658p-184);
+  EXPECT_EQ(SuccessLowerBoundWithSplits(255, 12, 3, 1000, 200),
+            0x1.ffa62a139d83ep-1);
+  // Calibrated: the paper's cell, d = 0 with g = 1, an infeasible r = 1
+  // cell, a large-d cell.
+  EXPECT_EQ(AlphaCalibrated(255, 10, 3, 400, 20), 0x1.a602be0c3e665p-1);
+  EXPECT_EQ(AlphaCalibrated(127, 13, 3, 1000, 120), 0x1.ff79439c235fp-1);
+  EXPECT_EQ(SuccessLowerBoundCalibrated(127, 13, 3, 1000, 200),
+            0x1.fb0008f5ee67ap-1);
+  EXPECT_EQ(SuccessLowerBoundCalibrated(63, 8, 3, 0, 1), 1.0);
+  EXPECT_EQ(SuccessLowerBoundCalibrated(511, 11, 1, 89, 18),
+            -0x1.c175e0197f92p-2);
+  EXPECT_EQ(SuccessLowerBoundCalibrated(1023, 17, 4, 5653, 1131),
+            0x1.fffffe5f3d5eap-1);
+}
+
+TEST(SuccessProbability, ContextMatchesOneShotFunctions) {
+  // One context serving many cells (in a scrambled order, with t above
+  // its t_max hint) gives each cell the one-shot value.
+  SplitModelContext context(3, 1000, 200, 12);
+  for (int n : {255, 63, 127}) {
+    for (int t : {17, 8, 13, 12}) {
+      EXPECT_EQ(context.AlphaCalibrated(n, t, 1.5, 9.0),
+                AlphaCalibrated(n, t, 3, 1000, 200))
+          << n << " " << t;
+      EXPECT_EQ(context.AlphaWithSplits(n, t),
+                AlphaWithSplits(n, t, 3, 1000, 200))
+          << n << " " << t;
+      EXPECT_EQ(context.SingleGroupSuccess(n, t, t + 9),
+                SingleGroupSuccessWithSplits(n, t, 3, t + 9))
+          << n << " " << t;
+    }
+  }
+}
+
 // --- Table 1 reproduction (the calibrated model) ---
 struct Table1Cell {
   int n;
