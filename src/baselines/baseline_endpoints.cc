@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
@@ -24,7 +25,6 @@
 #include "pbs/baselines/graphene.h"
 #include "pbs/bch/power_sum_sketch.h"
 #include "pbs/common/bitio.h"
-#include "pbs/common/checksum.h"
 #include "pbs/core/group_state.h"
 #include "pbs/core/messages.h"
 #include "pbs/gf/gf2m.h"
@@ -409,20 +409,15 @@ class PinSketchWpInitiator : public ReconcileInitiator {
         family_(seed),
         config_(config),
         report_sig_bits_(report_sig_bits),
-        mask_(SetChecksum::MaskFor(config.sig_bits)),
         d_used_(InflateEstimate(d_hat, config.gamma)) {
     const PbsPlan plan = PlanFor(config_, d_used_);
     t_ = std::max(plan.params.t, 1);
     g_ = static_cast<uint32_t>(plan.params.g);
     count_bits_ = wire::CountBits(t_);
-    units_.resize(g_);
-    for (uint32_t i = 0; i < g_; ++i) {
-      units_[i].core = UnitCore::Root(family_, i);
-    }
-    for (uint64_t e : elements) {
-      Unit& u = units_[GroupOf(family_, e, g_)];
-      u.working.insert(e);
-      u.checksum = (u.checksum + e) & mask_;
+    PartitionIntoRoots(family_, elements, g_, config_.sig_bits, &units_);
+    if (HasDuplicateElement(units_)) {
+      throw std::invalid_argument(
+          "pinsketch-wp initiator: element listed twice");
     }
   }
 
@@ -444,7 +439,7 @@ class PinSketchWpInitiator : public ReconcileInitiator {
     settled_bits_.clear();
     for (const Unit& unit : units_) {
       PowerSumSketch sketch(field_, t_);
-      for (uint64_t e : unit.working) sketch.Toggle(e);
+      for (uint64_t e : unit.elements) sketch.Toggle(e);
       sketch.Serialize(&w);
       sig_fields_ += static_cast<size_t>(t_);  // t syndromes per unit.
     }
@@ -459,21 +454,9 @@ class PinSketchWpInitiator : public ReconcileInitiator {
     data_bytes_ += request_bytes_ + reply.size();
     std::vector<Unit> next_units;
     for (Unit& unit : units_) {
-      const bool failed = r.ReadBit();
-      if (failed) {
+      if (r.ReadBit()) {
         // Three-way split; the responder redistributes identically.
-        const uint64_t salt = unit.core.SplitSalt(family_);
-        std::vector<Unit> children(3);
-        for (int c = 0; c < 3; ++c) {
-          children[c].core = unit.core.Child(family_,
-                                             static_cast<uint8_t>(c));
-        }
-        for (uint64_t e : unit.working) {
-          Unit& ch = children[UnitCore::ChildIndexOf(e, salt)];
-          ch.working.insert(e);
-          ch.checksum = (ch.checksum + e) & mask_;
-        }
-        for (Unit& ch : children) next_units.push_back(std::move(ch));
+        SplitInto(family_, unit, config_.sig_bits, &next_units);
         continue;
       }
       const uint64_t count = r.ReadBits(count_bits_);
@@ -483,7 +466,8 @@ class PinSketchWpInitiator : public ReconcileInitiator {
         const uint64_t s = r.ReadBits(config_.sig_bits);
         if (s == 0) continue;
         if (!unit.core.InSubUniverse(family_, s, g_)) continue;
-        Toggle(unit, s);
+        Toggle(&unit, s, config_.sig_bits);
+        if (diff_.erase(s) == 0) diff_.insert(s);
       }
       const uint64_t bob_checksum = r.ReadBits(config_.sig_bits);
       if (r.overflowed()) return false;
@@ -528,32 +512,10 @@ class PinSketchWpInitiator : public ReconcileInitiator {
   }
 
  private:
-  struct Unit {
-    UnitCore core;
-    std::unordered_set<uint64_t> working;  // A_unit (xor running D-hat).
-    uint64_t checksum = 0;
-  };
-
-  void Toggle(Unit& unit, uint64_t s) {
-    if (auto it = unit.working.find(s); it != unit.working.end()) {
-      unit.working.erase(it);
-      unit.checksum = (unit.checksum - s) & mask_;
-    } else {
-      unit.working.insert(s);
-      unit.checksum = (unit.checksum + s) & mask_;
-    }
-    if (auto it = diff_.find(s); it != diff_.end()) {
-      diff_.erase(it);
-    } else {
-      diff_.insert(s);
-    }
-  }
-
   GF2m field_;
   HashFamily family_;
   PbsConfig config_;
   int report_sig_bits_ = 0;
-  uint64_t mask_;
   int d_used_;
   int t_ = 1;
   uint32_t g_ = 1;
@@ -577,7 +539,6 @@ class PinSketchWpResponder : public ReconcileResponder {
         field_(config.sig_bits),
         family_(seed),
         seed_(seed),
-        mask_(SetChecksum::MaskFor(config.sig_bits)),
         sig_bits_(config.sig_bits) {}
 
   bool HandleRequest(const std::vector<uint8_t>& request,
@@ -598,35 +559,29 @@ class PinSketchWpResponder : public ReconcileResponder {
         return false;
       }
       count_bits_ = wire::CountBits(t_);
-      units_.resize(g_);
-      for (uint32_t i = 0; i < g_; ++i) {
-        units_[i].core = UnitCore::Root(family_, i);
-      }
-      for (uint64_t e : elements_) {
-        Unit& u = units_[GroupOf(family_, e, g_)];
-        u.elements.push_back(e);
-        u.checksum = (u.checksum + e) & mask_;
-      }
+      PartitionIntoRoots(family_, elements_, g_, sig_bits_, &units_);
     } else {
-      // Settled bits for every unit that decoded OK last round, in
-      // canonical order; then the stream re-aligns to a byte boundary.
-      std::vector<Unit> kept;
-      kept.reserve(units_.size());
-      for (Unit& unit : units_) {
-        if (unit.ok_last) {
-          unit.ok_last = false;
-          if (r.ReadBit()) continue;  // Settled: dropped on both sides.
+      // Evolve the table as the initiator did: last round's failed units
+      // split; the others each read a settled bit, in canonical order, and
+      // settled ones drop. Then the stream re-aligns to a byte boundary.
+      std::vector<Unit> next_units;
+      next_units.reserve(units_.size());
+      for (size_t u = 0; u < units_.size(); ++u) {
+        if (failed_[u]) {
+          SplitInto(family_, units_[u], sig_bits_, &next_units);
+        } else if (!r.ReadBit()) {
+          next_units.push_back(std::move(units_[u]));
         }
-        kept.push_back(std::move(unit));
       }
       r.AlignToByte();
       if (r.overflowed()) return false;
-      units_ = std::move(kept);
+      units_ = std::move(next_units);
     }
 
     BitWriter w;
-    std::vector<Unit> next_units;
-    for (Unit& unit : units_) {
+    failed_.assign(units_.size(), false);
+    for (size_t u = 0; u < units_.size(); ++u) {
+      const Unit& unit = units_[u];
       const auto encode_start = Clock::now();
       PowerSumSketch alice_sketch =
           PowerSumSketch::Deserialize(&r, field_, t_);
@@ -638,30 +593,13 @@ class PinSketchWpResponder : public ReconcileResponder {
       timers_.encode_seconds += Seconds(encode_start, decode_start);
       auto decoded = merged.Decode(/*verify=*/true, seed_ ^ unit.core.key);
       timers_.decode_seconds += Seconds(decode_start, Clock::now());
-      if (!decoded.has_value()) {
-        w.WriteBit(true);  // Decode failed; both sides split.
-        const uint64_t salt = unit.core.SplitSalt(family_);
-        std::vector<Unit> children(3);
-        for (int c = 0; c < 3; ++c) {
-          children[c].core = unit.core.Child(family_,
-                                             static_cast<uint8_t>(c));
-        }
-        for (uint64_t e : unit.elements) {
-          Unit& ch = children[UnitCore::ChildIndexOf(e, salt)];
-          ch.elements.push_back(e);
-          ch.checksum = (ch.checksum + e) & mask_;
-        }
-        for (Unit& ch : children) next_units.push_back(std::move(ch));
-        continue;
-      }
-      w.WriteBit(false);
+      failed_[u] = !decoded.has_value();
+      w.WriteBit(failed_[u]);  // A failed decode splits on both sides.
+      if (failed_[u]) continue;
       w.WriteBits(decoded->size(), count_bits_);
       for (uint64_t s : *decoded) w.WriteBits(s, sig_bits_);
       w.WriteBits(unit.checksum, sig_bits_);
-      unit.ok_last = true;
-      next_units.push_back(std::move(unit));
     }
-    units_ = std::move(next_units);
     *reply = w.TakeBytes();
     return true;
   }
@@ -669,24 +607,17 @@ class PinSketchWpResponder : public ReconcileResponder {
   PbsTimers timers() const override { return timers_; }
 
  private:
-  struct Unit {
-    UnitCore core;
-    std::vector<uint64_t> elements;
-    uint64_t checksum = 0;
-    bool ok_last = false;
-  };
-
   std::vector<uint64_t> elements_;
   GF2m field_;
   HashFamily family_;
   uint64_t seed_;
-  uint64_t mask_;
   int sig_bits_;
   uint32_t g_ = 0;
   int t_ = 1;
   int count_bits_ = 1;
   bool first_ = true;
   std::vector<Unit> units_;
+  std::vector<bool> failed_;  // Per unit: last round's decode failed.
   PbsTimers timers_;
 };
 

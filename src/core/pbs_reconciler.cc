@@ -22,7 +22,6 @@
 
 #include "pbs/bch/power_sum_sketch.h"
 #include "pbs/common/bitio.h"
-#include "pbs/common/checksum.h"
 #include "pbs/common/mset_hash.h"
 #include "pbs/common/parallel.h"
 #include "pbs/common/workspace.h"
@@ -122,7 +121,12 @@ class PbsInitiator : public ReconcileInitiator {
       workers_.push_back(
           std::make_unique<EncodeScratch>(field, plan_.params.t));
     }
-    BuildUnits();
+    PartitionIntoRoots(family_, elements_,
+                       static_cast<uint32_t>(plan_.params.g),
+                       config_.sig_bits, &units_);
+    if (HasDuplicateElement(units_)) {
+      throw std::invalid_argument("pbs initiator: element listed twice");
+    }
   }
 
   void NextRequest(std::vector<uint8_t>* out) override {
@@ -142,7 +146,7 @@ class PbsInitiator : public ReconcileInitiator {
     const auto encode_unit = [this, t](size_t u, int worker) {
       EncodeScratch& scratch = *workers_[worker];
       const SaltedHash h(units_[u].core.BinSalt(family_, round_));
-      ParityBitmap::BuildInto(units_[u].working, h, plan_.params.n,
+      ParityBitmap::BuildInto(units_[u].elements, h, plan_.params.n,
                               &scratch.pb);
       scratch.pb.ToSketchInto(&scratch.sketch);
       const std::vector<uint64_t>& odd = scratch.sketch.odd_syndromes();
@@ -221,70 +225,12 @@ class PbsInitiator : public ReconcileInitiator {
   }
 
  private:
-  // One active reconciliation unit.
-  struct Unit {
-    UnitCore core;
-    std::unordered_set<uint64_t> working;  // A_unit /\triangle D-hat so far.
-    SetChecksum checksum;
-  };
-
   // Per-worker encode scratch.
   struct EncodeScratch {
     EncodeScratch(const GF2m& field, int t) : sketch(field, t) {}
     ParityBitmap pb;
     PowerSumSketch sketch;
   };
-
-  void BuildUnits() {
-    const uint32_t g = static_cast<uint32_t>(plan_.params.g);
-    units_.resize(g);
-    for (uint32_t i = 0; i < g; ++i) {
-      units_[i].core = UnitCore::Root(family_, i);
-      units_[i].checksum = SetChecksum(config_.sig_bits);
-    }
-    uint64_t groups[kXxHashBatch];
-    for (size_t base = 0; base < elements_.size(); base += kXxHashBatch) {
-      const size_t blk = std::min(kXxHashBatch, elements_.size() - base);
-      GroupOfMany(family_, elements_.data() + base, blk, g, groups);
-      for (size_t i = 0; i < blk; ++i) {
-        Unit& u = units_[groups[i]];
-        u.working.insert(elements_[base + i]);
-        u.checksum.Add(elements_[base + i]);
-      }
-    }
-  }
-
-  // Appends the three children of a decode-failed unit (Section 3.2).
-  void SplitInto(const Unit& parent, std::vector<Unit>* out) const {
-    const uint64_t salt = parent.core.SplitSalt(family_);
-    const size_t first = out->size();
-    out->resize(first + 3);
-    for (int c = 0; c < 3; ++c) {
-      Unit& child = (*out)[first + c];
-      child.core = parent.core.Child(family_, static_cast<uint8_t>(c));
-      child.checksum = SetChecksum(config_.sig_bits);
-    }
-    for (uint64_t e : parent.working) {
-      Unit& child = (*out)[first + UnitCore::ChildIndexOf(e, salt)];
-      child.working.insert(e);
-      child.checksum.Add(e);
-    }
-  }
-
-  void Toggle(Unit& unit, uint64_t s) {
-    if (auto it = unit.working.find(s); it != unit.working.end()) {
-      unit.working.erase(it);
-      unit.checksum.Remove(s);
-    } else {
-      unit.working.insert(s);
-      unit.checksum.Add(s);
-    }
-    if (auto it = diff_.find(s); it != diff_.end()) {
-      diff_.erase(it);
-    } else {
-      diff_.insert(s);
-    }
-  }
 
   // Consumes one round reply: splits the failed units, recovers candidate
   // elements from the decoded ones (Procedures 1 and 3) and drops the
@@ -307,7 +253,7 @@ class PbsInitiator : public ReconcileInitiator {
         // Decode failed: both sides split; children reconcile from next
         // round. At the depth cap the unit retries as-is.
         if (unit.core.depth < config_.max_split_depth) {
-          SplitInto(unit, &next_units_);
+          SplitInto(family_, unit, sig_bits, &next_units_);
         } else {
           next_units_.push_back(std::move(unit));
         }
@@ -325,7 +271,7 @@ class PbsInitiator : public ReconcileInitiator {
 
       // Recover each candidate distinct element (Procedures 1 and 3).
       const SaltedHash h(unit.core.BinSalt(family_, round_));
-      ParityBitmap::BuildInto(unit.working, h, n, &pb_);
+      ParityBitmap::BuildInto(unit.elements, h, n, &pb_);
       for (int i = 0; i < count; ++i) {
         const uint64_t pos = positions_[i];
         if (pos < 1 || pos > static_cast<uint64_t>(n)) continue;
@@ -335,10 +281,11 @@ class PbsInitiator : public ReconcileInitiator {
           if (BinIndex(s, h, n) != pos) continue;  // Procedure 3.
           if (!unit.core.InSubUniverse(family_, s, g)) continue;
         }
-        Toggle(unit, s);
+        Toggle(&unit, s, sig_bits);
+        if (diff_.erase(s) == 0) diff_.insert(s);
       }
 
-      const bool settled = unit.checksum.value() == bob_checksum;
+      const bool settled = unit.checksum == bob_checksum;
       last_settled_.push_back(settled);
       if (!settled) next_units_.push_back(std::move(unit));
     }
@@ -350,16 +297,19 @@ class PbsInitiator : public ReconcileInitiator {
     return true;
   }
 
-  // Checks Bob's digest of B against H(A /\triangle D-hat).
+  // Checks Bob's digest of B against H(A /\triangle D-hat) in one scan of
+  // A: an element of D-hat met in A is toggled out (skipped), the D-hat
+  // elements left over are toggled in. Extra memory is O(|D-hat|).
   bool DigestMatches(const std::vector<uint8_t>& reply) const {
     BitReader r(reply);
     std::array<uint64_t, 3> theirs;
     for (auto& lane : theirs) lane = r.ReadBits(64);
     MsetHash mine(family_.Salt(HashFamily::kEstimator, kDigestSalt));
-    const std::unordered_set<uint64_t> in_a(elements_.begin(),
-                                            elements_.end());
-    for (uint64_t e : elements_) mine.Add(e);
-    for (uint64_t e : diff_) mine.Toggle(e, !in_a.count(e));
+    std::unordered_set<uint64_t> not_in_a = diff_;
+    for (uint64_t e : elements_) {
+      if (not_in_a.erase(e) == 0) mine.Add(e);
+    }
+    for (uint64_t e : not_in_a) mine.Add(e);
     return mine.digest() == theirs;
   }
 
@@ -440,13 +390,6 @@ class PbsResponder : public ReconcileResponder {
   PbsTimers timers() const override { return timers_; }
 
  private:
-  struct Unit {
-    UnitCore core;
-    std::vector<uint64_t> elements;
-    uint64_t checksum = 0;
-    bool decode_failed = false;  // Last round's decode failed -> will split.
-  };
-
   // Per-worker decode scratch: one block of kDecodeBatch lanes.
   struct DecodeScratch {
     DecodeScratch(const GF2m& field, int t)
@@ -470,19 +413,18 @@ class PbsResponder : public ReconcileResponder {
           std::make_unique<DecodeScratch>(field, plan_.params.t));
     }
     const uint32_t g = static_cast<uint32_t>(plan_.params.g);
-    units_.resize(g);
-    for (uint32_t i = 0; i < g; ++i) {
-      units_[i].core = UnitCore::Root(family_, i);
-    }
     if (LayoutMatchesPlan()) {
+      // Round 1 reads bitmaps and syndromes from the layout; the units
+      // need only their lineage and checksum until a second round.
+      units_.resize(g);
       for (uint32_t i = 0; i < g; ++i) {
+        units_[i].core = UnitCore::Root(family_, i);
         units_[i].checksum = layout_->checksums[i];
       }
       partitioned_ = false;
     } else {
       layout_.reset();  // A mismatched layout is useless; drop it.
-      PartitionIntoUnits();
-      for (Unit& u : units_) u.checksum = ChecksumOf(u.elements);
+      PartitionIntoRoots(family_, *elements_, g, config_.sig_bits, &units_);
     }
   }
 
@@ -498,46 +440,6 @@ class PbsResponder : public ReconcileResponder {
            layout_->plan.params.t == plan_.params.t;
   }
 
-  // Scatters the element list into the g root units, computing groups in
-  // hash-kernel-sized blocks through the batched lanes. Must run while the
-  // unit table is exactly the g roots in group order.
-  void PartitionIntoUnits() {
-    const uint32_t g = static_cast<uint32_t>(plan_.params.g);
-    const std::vector<uint64_t>& xs = *elements_;
-    uint64_t groups[kXxHashBatch];
-    for (size_t base = 0; base < xs.size(); base += kXxHashBatch) {
-      const size_t blk = std::min(kXxHashBatch, xs.size() - base);
-      GroupOfMany(family_, xs.data() + base, blk, g, groups);
-      for (size_t i = 0; i < blk; ++i) {
-        units_[groups[i]].elements.push_back(xs[base + i]);
-      }
-    }
-    partitioned_ = true;
-  }
-
-  uint64_t ChecksumOf(const std::vector<uint64_t>& elems) const {
-    SetChecksum c(config_.sig_bits);
-    for (uint64_t e : elems) c.Add(e);
-    return c.value();
-  }
-
-  // Appends the three children of a decode-failed unit (Section 3.2).
-  void SplitInto(const Unit& parent, std::vector<Unit>* out) const {
-    const uint64_t salt = parent.core.SplitSalt(family_);
-    const size_t first = out->size();
-    out->resize(first + 3);
-    for (int c = 0; c < 3; ++c) {
-      (*out)[first + c].core =
-          parent.core.Child(family_, static_cast<uint8_t>(c));
-    }
-    for (uint64_t e : parent.elements) {
-      (*out)[first + UnitCore::ChildIndexOf(e, salt)].elements.push_back(e);
-    }
-    for (size_t c = first; c < first + 3; ++c) {
-      (*out)[c].checksum = ChecksumOf((*out)[c].elements);
-    }
-  }
-
   // One round: evolve the unit table, stage Alice's sketches, decode every
   // unit, write the reply. False on a truncated request or trailing
   // bytes: the body is exactly the flags of last round's decoded units
@@ -548,17 +450,23 @@ class PbsResponder : public ReconcileResponder {
       // An adopted layout deferred the O(|B|) partition; any second round
       // needs real per-unit element lists (for splits and later bin
       // salts), and the table is still exactly the g roots here.
-      if (!partitioned_) PartitionIntoUnits();
+      if (!partitioned_) {
+        PartitionIntoRoots(family_, *elements_,
+                           static_cast<uint32_t>(plan_.params.g),
+                           config_.sig_bits, &units_);
+        partitioned_ = true;
+      }
       // Evolve the table exactly as Alice did: consume her settled flags
-      // for units that decoded last round, split the failed ones.
+      // for units that decoded last round (unit_counts_ still holds last
+      // round's results, -1 for a failed decode), split the failed ones.
       next_units_.clear();
       next_units_.reserve(units_.size());
-      for (Unit& unit : units_) {
-        if (unit.decode_failed) {
+      for (size_t u = 0; u < units_.size(); ++u) {
+        Unit& unit = units_[u];
+        if (unit_counts_[u] < 0) {
           if (unit.core.depth < config_.max_split_depth) {
-            SplitInto(unit, &next_units_);
+            SplitInto(family_, unit, config_.sig_bits, &next_units_);
           } else {
-            unit.decode_failed = false;
             next_units_.push_back(std::move(unit));
           }
           continue;
@@ -607,17 +515,15 @@ class PbsResponder : public ReconcileResponder {
     const int sig_bits = config_.sig_bits;
     BitWriter w(std::move(*reply));
     for (size_t u = 0; u < n_units; ++u) {
-      Unit& unit = units_[u];
       const int count = unit_counts_[u];
-      unit.decode_failed = count < 0;
-      w.WriteBit(unit.decode_failed);
-      if (unit.decode_failed) continue;
+      w.WriteBit(count < 0);
+      if (count < 0) continue;
       w.WriteBits(static_cast<uint64_t>(count), count_bits);
       const uint64_t* positions = unit_positions_.data() + u * stride;
       const uint64_t* xors = unit_xors_.data() + u * stride;
       for (int i = 0; i < count; ++i) w.WriteBits(positions[i], m);
       for (int i = 0; i < count; ++i) w.WriteBits(xors[i], sig_bits);
-      w.WriteBits(unit.checksum, sig_bits);
+      w.WriteBits(units_[u].checksum, sig_bits);
     }
     *reply = w.TakeBytes();
     timers_.encode_seconds += Seconds(write_start, Clock::now());

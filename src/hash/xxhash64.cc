@@ -331,6 +331,16 @@ __attribute__((target("avx2"))) void BatchAvx2Seeds(const uint64_t* values,
 
 #if defined(PBS_HAVE_AVX512_HASH_KERNEL)
 
+// GCC 12's AVX-512 intrinsics pass _mm512_undefined_epi32() as the unused
+// merge source, and its self-initialisation (`__m512i __Y = __Y;`) is
+// reported as an uninitialised read at every inlined call site (the same
+// false positive hash/fourwise.cc silences).
+#if !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 // Eight u64 hashes in zmm lanes: the exact HashU64 pipeline. vpmullq and
 // vprolq make each hash five 1-op multiplies plus two 1-op rotates --
 // the serial-multiply chain that caps the AVX2 kernel at roughly scalar
@@ -423,6 +433,10 @@ __attribute__((target("avx512f,avx512dq"))) void BatchAvx512Seeds(
   }
   for (; i < count; ++i) out[i] = HashU64(values[i], seeds[i]);
 }
+
+#if !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #endif  // PBS_HAVE_AVX512_HASH_KERNEL
 

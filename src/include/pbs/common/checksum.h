@@ -27,6 +27,9 @@ class SetChecksum {
  public:
   explicit SetChecksum(int bits = 32) : mask_(MaskFor(bits)) {}
 
+  /// Resumes from a previously taken value() of the same width.
+  SetChecksum(int bits, uint64_t value) : mask_(MaskFor(bits)), sum_(value) {}
+
   /// Adds one element.
   void Add(uint64_t element) { sum_ = (sum_ + element) & mask_; }
 

@@ -1,18 +1,24 @@
-// Reconciliation-unit bookkeeping shared by both PBS endpoints.
+// The unit table shared by the four partitioned engines: the pbs and
+// pinsketch-wp initiators and responders.
 //
 // A "unit" is one independently reconciled pair: initially one of the g
 // group pairs of Section 3; after a BCH decoding exception it is one of the
-// three sub-group pairs of Section 3.2 (recursively). Both endpoints must
-// evolve identical unit tables from the same observable events (Bob's
-// decode failures, Alice's settled flags), so all lineage-dependent
-// derivations -- child keys, split salts, sub-universe membership -- live
-// here.
+// three sub-group pairs of Section 3.2 (recursively). PinSketch/WP applies
+// the same partition to PinSketch (Section 8.3). Both sides of a session
+// must evolve identical unit tables from the same observable events (the
+// responder's decode failures, the initiator's settled flags), so the
+// lineage-dependent derivations -- child keys, split salts, sub-universe
+// membership -- and the table operations themselves -- root partition,
+// three-way split, toggle -- live here. Per-engine round state (which
+// units failed or decoded last round) and PBS's split-depth cap stay in the
+// engines.
 
 #ifndef PBS_CORE_GROUP_STATE_H_
 #define PBS_CORE_GROUP_STATE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "pbs/hash/hash_family.h"
@@ -71,6 +77,41 @@ inline void GroupOfMany(const HashFamily& family, const uint64_t* xs,
   family.Get(HashFamily::kGroupPartition).BucketMany(xs, count, num_groups,
                                                      out);
 }
+
+/// One reconciliation unit: its lineage, this side's elements in it, and
+/// their Section 2.2.3 set checksum. On the initiator `elements` is
+/// A_unit /\triangle D-hat so far (Toggle keeps it so); on the responder it
+/// is B_unit, never toggled. Element order carries no meaning: bitmaps,
+/// sketches and checksums are all order-independent.
+struct Unit {
+  UnitCore core;
+  std::vector<uint64_t> elements;
+  uint64_t checksum = 0;  ///< SetChecksum(sig_bits) value of `elements`.
+};
+
+/// Replaces `*units` with the g = `num_groups` root units of a session,
+/// in group order, and scatters `elements` into them (input order within
+/// each unit) through the batched GroupOfMany, checksummed at `sig_bits`.
+void PartitionIntoRoots(const HashFamily& family,
+                        const std::vector<uint64_t>& elements,
+                        uint32_t num_groups, int sig_bits,
+                        std::vector<Unit>* units);
+
+/// Appends the three children of `parent` (Section 3.2) to `*out`: each
+/// holds the parent's elements of its sub-universe and their checksum.
+void SplitInto(const HashFamily& family, const Unit& parent, int sig_bits,
+               std::vector<Unit>* out);
+
+/// Toggles `x`'s membership in `unit` (a linear find, then swap-remove or
+/// push_back) and moves the checksum with it.
+void Toggle(Unit* unit, uint64_t x, int sig_bits);
+
+/// True iff some unit lists a nonzero element twice (a repeated 0 moves
+/// nothing and goes unseen). Every partitioned engine assumes distinct
+/// elements: a listed-twice element cancels in parity bitmaps and sketches
+/// but counts twice in the checksum. Checks each unit against a unit-sized
+/// open-addressing table, so it needs no |A|-sized set.
+bool HasDuplicateElement(const std::vector<Unit>& units);
 
 }  // namespace pbs
 

@@ -66,10 +66,10 @@ struct ParityBitmap {
   /// of scratch). Measured flat from 128 upward on AVX-512 hardware.
   static constexpr size_t kBuildBlock = 128;
 
-  /// Contiguous-input form of BuildInto: hashes straight from `elements`
-  /// in kBuildBlock-sized chunks (no staging copy), bins into the stack
-  /// scratch, scatters. The hot-path form of Build; bit-identical to
-  /// BuildIntoScalar.
+  /// Bins `count` contiguous elements into `*pb`, reusing its capacity:
+  /// hashes straight from `elements` in kBuildBlock-sized chunks (no
+  /// staging copy), bins into the stack scratch, scatters. Bit-identical
+  /// to BuildIntoScalar.
   static void BuildInto(const uint64_t* elements, size_t count,
                         const SaltedHash& h, int n, ParityBitmap* pb) {
     pb->n = n;
@@ -89,32 +89,6 @@ struct ParityBitmap {
     BuildInto(elements.data(), elements.size(), h, n, pb);
   }
 
-  /// Generic-container form (non-contiguous iteration): stages elements
-  /// into a stack block, then runs the same fused hash+scatter blocks.
-  /// Bit-identical to BuildIntoScalar.
-  template <typename Container>
-  static void BuildInto(const Container& elements, const SaltedHash& h, int n,
-                        ParityBitmap* pb) {
-    pb->n = n;
-    pb->xor_sum.assign(n + 1, 0);
-    pb->parity.assign(n + 1, 0);
-    uint64_t block[kBuildBlock];
-    uint64_t bins[kBuildBlock];
-    size_t filled = 0;
-    for (uint64_t e : elements) {
-      block[filled++] = e;
-      if (filled == kBuildBlock) {
-        BinIndexMany(block, filled, h, n, bins);
-        Scatter(pb, block, bins, filled);
-        filled = 0;
-      }
-    }
-    if (filled > 0) {
-      BinIndexMany(block, filled, h, n, bins);
-      Scatter(pb, block, bins, filled);
-    }
-  }
-
   /// Element-at-a-time reference for BuildInto (scalar hash per element);
   /// the differential tests pin the batched build against this.
   template <typename Container>
@@ -131,9 +105,8 @@ struct ParityBitmap {
   }
 
   /// Bins `elements` under `h` into a fresh bitmap.
-  template <typename Container>
-  static ParityBitmap Build(const Container& elements, const SaltedHash& h,
-                            int n) {
+  static ParityBitmap Build(const std::vector<uint64_t>& elements,
+                            const SaltedHash& h, int n) {
     ParityBitmap pb;
     BuildInto(elements, h, n, &pb);
     return pb;

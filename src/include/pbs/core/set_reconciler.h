@@ -162,6 +162,8 @@ class SetReconciler {
   /// HandleReply on reused buffers until the initiator is done -- no
   /// framing, no session engine. A payload either engine rejects ends the
   /// call with success = false. encode/decode_seconds sum both engines.
+  /// Precondition: `a` and `b` each list distinct elements (sets, not
+  /// multisets), as CreateInitiator/CreateResponder require.
   ReconcileOutcome Reconcile(const std::vector<uint64_t>& a,
                              const std::vector<uint64_t>& b, double d_hat,
                              uint64_t seed) const;
@@ -169,12 +171,20 @@ class SetReconciler {
   /// Mints the initiator-side engine for one reconciliation over
   /// `elements` (the initiator's set A). The scheme applies its inflation
   /// policy to `d_hat` and derives every random choice from `seed`.
+  /// Precondition: `elements` are distinct. pbs and pinsketch-wp throw
+  /// std::invalid_argument on an element listed twice; the single-shot
+  /// schemes do not check, and a duplicate there can yield a wrong
+  /// difference.
   virtual std::unique_ptr<ReconcileInitiator> CreateInitiator(
       std::vector<uint64_t> elements, double d_hat, uint64_t seed) const = 0;
 
   /// Mints the responder-side engine over `elements` (the responder's set
   /// B). Protocol parameters the responder cannot derive from `d_hat`
-  /// arrive in the first request payload.
+  /// arrive in the first request payload. Precondition: `elements` are
+  /// distinct. Responders do not check (their partition waits for the
+  /// first request). A duplicate in B makes a pbs or pinsketch-wp session
+  /// end with success = false, except for the element 2^(sig_bits-1),
+  /// whose doubled checksum term wraps to zero.
   virtual std::unique_ptr<ReconcileResponder> CreateResponder(
       std::vector<uint64_t> elements, double d_hat, uint64_t seed) const = 0;
 

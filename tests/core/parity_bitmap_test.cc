@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <unordered_set>
 
 #include "pbs/common/rng.h"
 
@@ -48,16 +47,6 @@ TEST(ParityBitmap, XorSumAndParityConsistent) {
     EXPECT_EQ(pb.xor_sum[i], xor_sum[i]);
     EXPECT_EQ(pb.parity[i], count[i] % 2);
   }
-}
-
-TEST(ParityBitmap, WorksWithUnorderedSetInput) {
-  SaltedHash h(9);
-  std::unordered_set<uint64_t> elements = {5, 10, 15, 20};
-  auto pb = ParityBitmap::Build(elements, h, 63);
-  int nonzero = 0;
-  for (int i = 1; i <= 63; ++i) nonzero += pb.parity[i];
-  EXPECT_GE(nonzero, 1);
-  EXPECT_LE(nonzero, 4);
 }
 
 TEST(ParityBitmap, SketchOfDifferenceDecodesToDifferingBins) {

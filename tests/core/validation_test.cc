@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "pbs/core/set_reconciler.h"
+#include "pbs/sim/workload.h"
 #include "scheme_test_util.h"
 
 namespace pbs {
@@ -47,6 +50,41 @@ TEST(Validation, SubuniverseCheckTogglePreservesCorrectness) {
   const ReconcileOutcome outcome = test::ReconcilePbs(a, b, off, 3, 50);
   EXPECT_TRUE(outcome.success);
   EXPECT_EQ(outcome.difference.size(), 50u);
+}
+
+// The partitioned schemes take sets, not multisets: an element listed twice
+// on either side must end in a rejection or success = false, never in a
+// wrong difference reported as success.
+bool FailsClosed(const std::string& scheme, const std::vector<uint64_t>& a,
+                 const std::vector<uint64_t>& b, uint64_t seed) {
+  try {
+    return !test::ReconcileKnownD(scheme, a, b, 11, seed).success;
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
+}
+
+TEST(Validation, DuplicateElementsFailClosed) {
+  for (const char* scheme : {"pbs", "pinsketch-wp"}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      // a = 2000 common keys, then 10 keys only in A.
+      const SetPair pair = GenerateTwoSidedPair(2000, 10, 0, 32, seed);
+      const uint64_t common = pair.b[seed % pair.b.size()];
+      const uint64_t a_only = pair.a[2000 + seed % 10];
+      std::vector<uint64_t> a_dup_common = pair.a;
+      a_dup_common.push_back(common);
+      std::vector<uint64_t> a_dup_only = pair.a;
+      a_dup_only.insert(a_dup_only.begin(), a_only);
+      std::vector<uint64_t> b_dup_common = pair.b;
+      b_dup_common.push_back(common);
+      EXPECT_TRUE(FailsClosed(scheme, a_dup_common, pair.b, seed))
+          << scheme << " seed " << seed << ": common key twice in A";
+      EXPECT_TRUE(FailsClosed(scheme, a_dup_only, pair.b, seed))
+          << scheme << " seed " << seed << ": A-only key twice in A";
+      EXPECT_TRUE(FailsClosed(scheme, pair.a, b_dup_common, seed))
+          << scheme << " seed " << seed << ": common key twice in B";
+    }
+  }
 }
 
 }  // namespace
